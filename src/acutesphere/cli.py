@@ -87,7 +87,7 @@ def cmd_check(args):
         notes.append("no separating 3- or 4-cycle (all 3-/4-cycles enumerated)")
     verdicts["empty_3cycle_obstruction"] = empty_3cycle_obstruction(tri)
     if tri.is_closed:
-        realizable = is_flag_no_square(tri)
+        realizable = verdicts["flag"] and chordless is None
         verdicts["flag_no_square"] = realizable
         verdicts["itoh_face_count"] = itoh_face_predicate(len(tri.faces))
         if verdicts["flag"] and not four_cliques(tri):

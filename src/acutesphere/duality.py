@@ -23,7 +23,7 @@ from scipy.optimize import brentq
 
 from .errors import GeometryError, ValidationError
 from .spherical import (CORNERS, IDENTITY_MAP, CornerMap, SphericalTriangle,
-                        polar_dual, triangle_pqr)
+                        triangle_pqr)
 
 SIGMA_RESIDUAL_TOL = 1e-10
 DEFAULT_GRID_STEP = 1e-4
@@ -374,10 +374,3 @@ def _closing_slopes(curve_xy, curve_zx, S, T, xs, ys, zs):
     dz_dx = np.array([curve_zx.derivative_dy_dx(x, z) for x, z in zip(xs, zs)])
     return dsig_dy * dy_dx + dsig_dz * dz_dx
 
-
-def duality_necessary_condition(R: SphericalTriangle, p: int, q: int, r: int,
-                                corner_map: CornerMap = IDENTITY_MAP) -> bool:
-    """Necessary condition for duality with the (p, q, r) triangle: R slimmer
-    than its polar dual."""
-    from .spherical import fatter
-    return fatter(polar_dual(triangle_pqr(p, q, r)), R.relabeled(corner_map))

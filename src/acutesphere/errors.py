@@ -28,5 +28,6 @@ class SolveError(AcuteSphereError):
 
 
 class InternalInconsistency(AcuteSphereError):
-    """Two independent formulations of the same predicate disagreed.
-    Signals an implementation bug, not bad input."""
+    """An internal consistency check failed (e.g. a constructed object lost
+    a property it is built to have).  Signals an implementation bug, not bad
+    input."""

@@ -31,14 +31,11 @@ FIXTURE_NAMES = (
     "sphere_34",
 )
 
-ALIASES = {}
-
 
 def fixture_path(name: str):
-    key = ALIASES.get(name, name)
-    if key not in FIXTURE_NAMES:
+    if name not in FIXTURE_NAMES:
         raise ValidationError(f"unknown fixture {name!r}; known: {', '.join(FIXTURE_NAMES)}")
-    return resources.files("acutesphere").joinpath("data").joinpath(key + ".json")
+    return resources.files("acutesphere").joinpath("data").joinpath(name + ".json")
 
 
 def load(name: str) -> AbstractTriangulation:

@@ -463,44 +463,58 @@ def separating_interiors(tri: AbstractTriangulation, cycle):
     return tuple(interior for _, interior in cycle_sides(tri, cycle) if interior)
 
 
+def _bounds_faces(tri: AbstractTriangulation, cycle, boundary) -> bool:
+    """True when the cycle avoids the ``boundary`` vertices and is a face or a
+    4-cycle whose chord splits it into two faces.
+
+    Such a cycle cannot separate, so it needs no region search.  The
+    validator admits only genus-0 surfaces, on which a simple cycle through
+    interior vertices cuts the faces into exactly two face-connected regions;
+    one of them is the cycle's own face or faces, with no vertex off the
+    cycle.  At a boundary vertex the search may find three or more regions,
+    so cycles touching the boundary always get it.
+    """
+    if any(v in boundary for v in cycle):
+        return False
+    if len(cycle) == 3:
+        return tri.is_face(*cycle)
+    u, x, v, y = cycle
+    return ((tri.is_face(u, x, v) and tri.is_face(u, v, y))
+            or (tri.is_face(x, u, y) and tri.is_face(x, v, y)))
+
+
 def separating_cycles(tri: AbstractTriangulation):
     """All 3- and 4-cycles that cut the surface into two or more regions each
     containing at least one vertex off the cycle."""
+    boundary = tri.boundary_vertices()
     out = []
-    for t in triangles_of_graph(tri):
-        comps = separating_interiors(tri, t)
-        if len(comps) >= 2:
-            out.append(CycleWitness(cycle=t, kind="separating-3-cycle", components=comps))
-    for c in four_cycles(tri):
-        comps = separating_interiors(tri, c)
-        if len(comps) >= 2:
-            out.append(CycleWitness(cycle=c, kind="separating-4-cycle", components=comps))
+    for kind, cycles in (("separating-3-cycle", triangles_of_graph(tri)),
+                         ("separating-4-cycle", four_cycles(tri))):
+        for c in cycles:
+            if _bounds_faces(tri, c, boundary):
+                continue
+            comps = separating_interiors(tri, c)
+            if len(comps) >= 2:
+                out.append(CycleWitness(cycle=c, kind=kind, components=comps))
     return out
 
 
 def is_flag_no_square(tri: AbstractTriangulation) -> bool:
-    """Flag no-square test for closed triangulations.
-
-    Computes both the clique/chord formulation and the separating-cycle
-    formulation (the latter applies on >= 5 vertices) and insists they agree.
-    """
+    """Flag no-square test for closed triangulations: flag, and every 4-cycle
+    has a chord."""
     if not tri.is_closed:
         raise ValidationError("is_flag_no_square expects a closed triangulation")
-    clique_form = is_flag(tri) and has_chordless_square(tri) is None
-    if len(tri.vertices) >= 5:
-        separating_form = (not separating_cycles(tri)) and not empty_three_cycles(tri)
-        if clique_form != separating_form:
-            raise InternalInconsistency(
-                f"flag-no-square formulations disagree: clique/chord={clique_form}, "
-                f"separating-cycle={separating_form}")
-    return clique_form
+    return is_flag(tri) and has_chordless_square(tri) is None
 
 
 def is_flag_no_separating_square(tri: AbstractTriangulation) -> bool:
     """Flag and no separating 4-cycle (closed or planar input)."""
     if not is_flag(tri):
         return False
+    boundary = tri.boundary_vertices()
     for c in four_cycles(tri):
+        if _bounds_faces(tri, c, boundary):
+            continue
         if len(separating_interiors(tri, c)) >= 2:
             return False
     return True

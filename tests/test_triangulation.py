@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 
 import pytest
 
@@ -8,10 +9,11 @@ from acutesphere import fixtures
 from acutesphere.errors import ParseError, ValidationError
 from acutesphere.spherical import from_angles, polar_dual, tessellation_22p
 from acutesphere.triangulation import (
-    AbstractTriangulation, EdgeLabeling, coxeter_face_finite, coxeter_one_ended,
-    diagonal_flip, double, empty_3cycle_obstruction, empty_three_cycles,
-    four_cliques, four_cycles, has_chordless_square, ideal_allright_conditions,
-    is_flag, is_flag_no_separating_square, is_flag_no_square, itoh_face_predicate,
+    AbstractTriangulation, CycleWitness, EdgeLabeling, coxeter_face_finite,
+    coxeter_one_ended, cycle_sides, diagonal_flip, double, empty_3cycle_obstruction,
+    empty_three_cycles, first_obstruction, four_cliques, four_cycles,
+    has_chordless_square, ideal_allright_conditions, is_flag,
+    is_flag_no_separating_square, is_flag_no_square, itoh_face_predicate,
     maehara_cap, parse_document, separating_cycles, serialize, square_wheel,
     triangles_of_graph)
 
@@ -52,6 +54,89 @@ def brute_four_cycles(tri):
             reps += [fwd, bwd]
         canon.add(min(reps))
     return canon
+
+
+def _brute_separating_cycles(tri):
+    """Region search on every 3-clique and every 4-cycle, no shortcut."""
+    out = []
+    for kind, cycles in (("separating-3-cycle", triangles_of_graph(tri)),
+                         ("separating-4-cycle", four_cycles(tri))):
+        for c in cycles:
+            comps = tuple(interior for _, interior in cycle_sides(tri, c) if interior)
+            if len(comps) >= 2:
+                out.append(CycleWitness(cycle=c, kind=kind, components=comps))
+    return out
+
+
+def _random_flips(tri, rng, count):
+    """Up to ``count`` diagonal flips of random interior edges."""
+    for _ in range(count):
+        edges = sorted(sorted(e) for e, fs in tri.edge_faces.items() if len(fs) == 2)
+        try:
+            tri = diagonal_flip(tri, rng.choice(edges))
+        except ValidationError:   # the flip would double an edge
+            continue
+    return tri
+
+
+def _punctured(tri, rng, holes):
+    """``tri`` with ``holes`` random faces deleted, or None when the result
+    is not a valid planar surface (e.g. two holes meeting at a vertex)."""
+    drop = set(rng.sample(range(len(tri.faces)), holes))
+    try:
+        return AbstractTriangulation(
+            tri.vertices, [f for i, f in enumerate(tri.faces) if i not in drop])
+    except ValidationError:
+        return None
+
+
+def test_separating_cycles_match_region_search_oracle(load):
+    rng = random.Random(20261018)
+    corpus = [load(name) for name in fixtures.FIXTURE_NAMES]
+    corpus += [double(maehara_cap(n)) for n in range(5, 13)]
+    small = [load(name) for name in ("octahedron", "icosahedron", "sphere_28", "sphere_34")]
+    small.append(double(maehara_cap(5)))
+    flipped = [_random_flips(base, rng, rng.randint(1, 12))
+               for base in small for _ in range(4)]
+    planar = []
+    while len(planar) < 40:
+        hole = _punctured(rng.choice(flipped + small), rng, rng.randint(1, 3))
+        if hole is not None:
+            planar.append(hole)
+    found = 0
+    for tri in corpus + flipped + planar:
+        brute = _brute_separating_cycles(tri)
+        assert separating_cycles(tri) == brute, tri
+        found += len(brute)
+        no_sep_square = is_flag(tri) and not any(
+            w.kind == "separating-4-cycle" for w in brute)
+        assert is_flag_no_separating_square(tri) == no_sep_square, tri
+        if not tri.is_closed:
+            assert (first_obstruction(tri) is None) == no_sep_square, tri
+        elif len(tri.vertices) >= 5:
+            passes = (not brute and not empty_three_cycles(tri)
+                      and not four_cliques(tri))
+            assert (first_obstruction(tri) is None) == passes, tri
+            assert is_flag_no_square(tri) == passes, tri
+    assert found > 100
+
+
+def test_face_bounded_square_through_boundary_separates():
+    # flag disk bounded by the square a x b y; the 4-cycle u x v y has the
+    # chord uv splitting it into two faces, yet x and y lie on the boundary
+    # and the region search splits the rest into three regions there
+    disk = AbstractTriangulation(
+        ["x", "u", "v", "y", "a", "b"],
+        [("x", "u", "v"), ("u", "y", "v"), ("x", "u", "a"),
+         ("u", "a", "y"), ("x", "v", "b"), ("v", "b", "y")])
+    assert is_flag(disk)
+    assert disk.boundary_cycles == (("a", "x", "b", "y"),)
+    witnesses = separating_cycles(disk)
+    assert len(witnesses) == 3
+    chorded = [w for w in witnesses if w.cycle == ("u", "x", "v", "y")]
+    assert len(chorded) == 1
+    assert sorted(chorded[0].components) == [("a",), ("b",)]
+    assert not is_flag_no_separating_square(disk)
 
 
 def test_parse_counts_and_euler(load):
