@@ -13,8 +13,10 @@ Lobachevsky-function formula (Milnor / Vinberg):
 with L the Lobachevsky function L(t) = -int_0^t log|2 sin u| du, evaluated
 here through the Clausen function Cl2 (L(t) = Cl2(2t)/2).
 
-The resulting constant is frozen into the test suite; the main package never
-evaluates Lobachevsky functions.
+The resulting constant is frozen into the test suite.  The package evaluates
+the same formula in float64 (``acutesphere.klein.lobachevsky`` and
+``orthoscheme_volume``) without mpmath; the tests load this script as an
+independent high-precision reference for both.
 """
 
 import mpmath as mp

@@ -9,10 +9,10 @@ __version__ = "0.1.0"
 
 from .duality import (AbsenceCertificate, DualityWitness, DualSolveResult,
                       SigmaCurve, foot_parameter, sigma, solve_dual_22p,
-                      solve_dual_general, solve_on_curve)
+                      solve_dual_general)
 from .errors import (AcuteSphereError, GeometryError, InternalInconsistency,
                      ParseError, SolveError, ValidationError)
-from .klein import SlantedCubeModel, VolumeEstimate, beta, build_slanted_cube, volume
+from .klein import SlantedCubeModel, beta, build_slanted_cube, volume
 from .realization import (AlphaEstimate, CirclePatternResidual, CombinatorialRefusal,
                           EuclideanRealization, GeodesicRealization,
                           RealizationResult, alpha_estimate, is_subordinate,

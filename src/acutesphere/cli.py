@@ -24,10 +24,9 @@ from .spherical import from_angles, from_sides, triangle_pqr
 from .triangulation import (coxeter_face_finite, coxeter_one_ended, diagonal_flip,
                             double, empty_3cycle_obstruction, first_obstruction,
                             four_cliques, has_chordless_square, ideal_allright_conditions,
-                            is_flag, is_flag_no_separating_square, is_flag_no_square,
-                            itoh_face_predicate, low_degree_interior_vertices,
-                            maehara_cap, parse_file, separating_cycles, serialize,
-                            square_wheel)
+                            is_flag, is_flag_no_square, itoh_face_predicate,
+                            low_degree_interior_vertices, maehara_cap, parse_file,
+                            separating_cycles, serialize, square_wheel)
 
 EXIT_OK = 0
 EXIT_OBSTRUCTION = 1
@@ -93,7 +92,7 @@ def cmd_check(args):
         if verdicts["flag"] and not four_cliques(tri):
             verdicts["ideal_allright_conditions"] = ideal_allright_conditions(tri)
     else:
-        fnss = is_flag_no_separating_square(tri)
+        fnss = verdicts["flag"] and not any(w.kind == "separating-4-cycle" for w in seps)
         verdicts["flag_no_separating_square"] = fnss
         low = low_degree_interior_vertices(tri)
         verdicts["low_degree_interior_vertices"] = list(low)
@@ -209,16 +208,15 @@ def cmd_dual(args):
     verdicts = {"dual": witness is not None}
     if witness is not None:
         cube = build_slanted_cube(witness)
-        est = volume(cube, samples=args.samples, seed=args.seed)
+        vol = volume(cube)
         metrics = {"max_sigma_residual": max(abs(r) for r in witness.residuals),
-                   "cube_volume": est.value,
-                   "cube_volume_stderr": est.stderr}
+                   "cube_volume": vol}
         report = _report("dual", args, verdicts, metrics=metrics)
         report["witness"] = witness.to_json()
         report["cube"] = cube.to_json()
-        report["cube"]["volume"] = est.to_json()
+        report["cube"]["volume"] = vol
         _emit(report, f"hyperbolically dual: x={witness.x:.12f} y={witness.y:.12f} "
-                      f"z={witness.z:.12f}, volume {est.value:.6f} +- {est.stderr:.6f}")
+                      f"z={witness.z:.12f}, volume {vol:.12f}")
         return EXIT_OK
     report = _report("dual", args, verdicts)
     if certificate is None:
@@ -241,16 +239,12 @@ def cmd_invariants(args):
     notes = []
     try:
         res = realize_sphere(tri, seed=args.seed, tol=args.tol)
-        est = beta(res.realization, samples=args.samples, seed=args.seed)
-        metrics["beta"] = est.value
-        metrics["beta_stderr"] = est.stderr
-        metrics["beta_samples_per_face"] = args.samples
+        metrics["beta"] = beta(res.realization)
     except CombinatorialRefusal as exc:
         notes.append(f"beta refused: {exc}")
     verdicts = {"flag_no_square": is_flag_no_square(tri)}
     report = _report("invariants", args, verdicts, metrics=metrics, notes=notes)
-    beta_txt = (f"beta={metrics['beta']:.4f}+-{metrics['beta_stderr']:.4f}"
-                if "beta" in metrics else "beta refused")
+    beta_txt = f"beta={metrics['beta']:.12f}" if "beta" in metrics else "beta refused"
     _emit(report, f"alpha={alpha.value:.6f}, {beta_txt}")
     return EXIT_OK
 
@@ -321,15 +315,10 @@ def build_parser():
     p.add_argument("--target", default=None, help="Coxeter labels p,q,r")
     p.add_argument("--target-triangle", default=None, help="target angles A,B,C")
     p.add_argument("--grid-step", type=float, default=1e-4)
-    p.add_argument("--samples", type=int, default=100000,
-                   help="Monte-Carlo samples for the cube volume")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_dual)
 
     p = sub.add_parser("invariants", help="alpha and beta invariants")
     common(p)
-    p.add_argument("--samples", type=int, default=100000,
-                   help="Monte-Carlo samples per face for beta")
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("construct", help="emit cap/wheel/double/flip constructions")

@@ -142,10 +142,6 @@ class SigmaCurve:
         return -(y + x * sy * cg / sx) / (x + y * sx * cg / sy)
 
 
-def solve_on_curve(curve: SigmaCurve, x: float) -> float:
-    return curve.solve_y(x)
-
-
 @dataclass(frozen=True)
 class DualityWitness:
     """Foot parameters of a hyperbolic slanted cube realizing a dual pair.

@@ -8,17 +8,18 @@ r = tanh(d/2), which is the bridge between the two models.)
 
 Hyperbolic angles and distances are computed through the Minkowski
 hyperboloid: a Klein point p lifts to (1, p)/sqrt(1-|p|^2), and the plane
-{p . n = d} has spacelike normal (d, n)/sqrt(|n|^2 - d^2).
+{p . n = d} has spacelike normal (d, n)/sqrt(|n|^2 - d^2).  Cube volumes are
+exact: six orthoschemes tile each cube, and each has a closed-form volume in
+the Lobachevsky function.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import xlogy, zeta
 
 from .duality import DualityWitness, solve_dual_22p
 from .errors import GeometryError, InternalInconsistency, ValidationError
@@ -237,94 +238,97 @@ def build_slanted_cube(witness: DualityWitness) -> SlantedCubeModel:
         witness=witness, dihedrals=dihedrals, link_at_O=link_O, link_at_opposite=link_O2)
 
 
-# -- Monte-Carlo volume ------------------------------------------------------
+# -- exact volume ------------------------------------------------------------
+
+# The six orthoschemes (O, F, W', O') tiling a slanted cube: the cone from O
+# over the far faces, each far face F_F split along its diagonal F-O'.
+ORTHOSCHEMES = (("X", "Z'"), ("X", "Y'"), ("Y", "X'"),
+                ("Y", "Z'"), ("Z", "Y'"), ("Z", "X'"))
+
+_LOBACHEVSKY_WEIGHTS = np.array([1.0, -1.0, 1.0, -1.0, -1.0, 1.0, 2.0])
+_SIGNATURE = np.array([-1.0, 1.0, 1.0, 1.0])
+
+# Clausen series coefficients |B_2k| / (2k (2k+1)!) = 2 zeta(2k) / ((2 pi)^2k 2k (2k+1))
+# for k = 24 .. 1, highest order first as np.polyval takes them
+_TWO_K = np.arange(48, 0, -2)
+_CLAUSEN = 2.0 * zeta(_TWO_K) / ((2.0 * math.pi) ** _TWO_K * _TWO_K * (_TWO_K + 1))
 
 
-@dataclass(frozen=True)
-class VolumeEstimate:
-    value: float
-    stderr: float
-    samples: int
+def lobachevsky(theta):
+    """Lobachevsky function L(t) = -int_0^t log|2 sin u| du = Cl2(2t)/2,
+    elementwise in float64.
 
-    def to_json(self):
-        return {"value": self.value, "stderr": self.stderr, "samples": self.samples}
-
-
-def _shard_counts(samples: int, shard_size: int = 1 << 19):
-    counts = []
-    left = samples
-    while left > 0:
-        take = min(left, shard_size)
-        counts.append(take)
-        left -= take
-    return counts
-
-
-def _thread_budget() -> int:
-    raw = os.environ.get("ACUTE_SPHERE_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def volume(cube: SlantedCubeModel, samples: int, seed: int = 0) -> VolumeEstimate:
-    """Monte-Carlo hyperbolic volume of a slanted cube.
-
-    Uniform samples in the Euclidean bounding box of the vertices are
-    filtered by the six half-spaces and weighted by the Klein density
-    (1 - |p|^2)^(-2).  Shard sums combine in fixed order, so the estimate is
-    deterministic for a given seed regardless of thread count.
+    L is odd and pi-periodic, so t is reduced to [-pi/2, pi/2]; there
+    Cl2(x) = x - x log|x| + sum_k |B_2k| x^(2k+1) / (2k (2k+1)!) with
+    |x| <= pi, where the terms shrink about fourfold each.
     """
-    if samples < 1000:
-        raise ValidationError(f"need at least 1000 samples, got {samples}")
-    verts = np.vstack(list(cube.vertices.values()))
-    lo = verts.min(axis=0)
-    hi = verts.max(axis=0)
-    box_vol = float(np.prod(hi - lo))
-    normals = np.vstack([n for n, _ in cube.half_spaces])
-    offsets = np.array([d for _, d in cube.half_spaces])
-
-    counts = _shard_counts(samples)
-    seeds = np.random.SeedSequence(seed).spawn(len(counts))
-
-    def run_shard(i):
-        rng = np.random.default_rng(seeds[i])
-        pts = rng.uniform(lo, hi, size=(counts[i], 3))
-        inside = np.all(pts @ normals.T <= offsets + 1e-12, axis=1)
-        w = np.zeros(counts[i])
-        r2 = np.einsum("ij,ij->i", pts[inside], pts[inside])
-        w[inside] = (1.0 - r2) ** -2
-        return float(w.sum()), float((w * w).sum())
-
-    threads = min(_thread_budget(), len(counts))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(run_shard, range(len(counts))))
-    else:
-        partials = [run_shard(i) for i in range(len(counts))]
-
-    s1 = sum(p[0] for p in partials)
-    s2 = sum(p[1] for p in partials)
-    n = samples
-    mean = s1 / n
-    var = max(0.0, s2 / n - mean * mean)
-    return VolumeEstimate(value=box_vol * mean,
-                          stderr=box_vol * math.sqrt(var / n),
-                          samples=n)
+    t = np.asarray(theta, float)
+    x = 2.0 * (t - math.pi * np.round(t / math.pi))
+    x2 = x * x
+    return 0.5 * (x - xlogy(x, np.abs(x)) + x * x2 * np.polyval(_CLAUSEN, x2))
 
 
-def beta(realization, samples: int, seed: int = 0) -> VolumeEstimate:
+def orthoscheme_volume(a, b, c):
+    """Volume of the compact hyperbolic orthoscheme with essential dihedral
+    angles a, b, c (Kellerhals, Math. Ann. 285, 1989), elementwise:
+
+        V = 1/4 [L(a+d) - L(a-d) + L(c+d) - L(c-d)
+                 - L(pi/2-b+d) + L(pi/2-b-d) + 2 L(pi/2-d)]
+
+    with tan d = sqrt(cos^2 b - sin^2 a sin^2 c) / (cos a cos c).
+    """
+    d = np.arctan2(np.sqrt(np.maximum(0.0, np.cos(b) ** 2 - (np.sin(a) * np.sin(c)) ** 2)),
+                   np.cos(a) * np.cos(c))
+    h = math.pi / 2
+    args = np.stack([a + d, a - d, c + d, c - d, h - b + d, h - b - d, h - d])
+    return np.tensordot(_LOBACHEVSKY_WEIGHTS, lobachevsky(args), axes=1) / 4
+
+
+def essential_angles(tetra):
+    """Dihedral angles (a, b, c) at the edges P2P3, P0P3, P0P1 of Klein
+    tetrahedra P0P1P2P3 given as an (..., 4, 3) array.
+
+    Column k of the inverse of the matrix with rows (1, P_i) has dot
+    product delta_ik with those rows, so with J = diag(-1, 1, 1, 1), J times
+    it is Minkowski-orthogonal to every vertex but P_k: an inward normal of
+    the face opposite P_k.  The Gram matrix of these normals,
+    G = inv^T J inv, gives the dihedral angle between faces k and l as
+    arccos(-G_kl / sqrt(G_kk G_ll)).
+    """
+    tetra = np.asarray(tetra, float)
+    inv = np.linalg.inv(np.concatenate([np.ones(tetra.shape[:-1] + (1,)), tetra], axis=-1))
+    gram = np.swapaxes(inv, -1, -2) @ (inv * _SIGNATURE[:, None])
+    norms = np.sqrt(np.diagonal(gram, axis1=-2, axis2=-1))
+    cos = -gram / (norms[..., :, None] * norms[..., None, :])
+    return tuple(np.arccos(np.clip(cos[..., k, k + 1], -1.0, 1.0)) for k in range(3))
+
+
+def orthoschemes(cube: SlantedCubeModel) -> np.ndarray:
+    """Klein vertices (O, F, W', O') of the cube's six orthoschemes, (6, 4, 3).
+
+    OF is perpendicular to the far face F_F by construction, and FW' to
+    W'O' because the equatorial dihedral angles at W' are right (verified
+    by ``build_slanted_cube``), so each tetrahedron is an orthoscheme.
+    """
+    v = cube.vertices
+    return np.array([[v["O"], v[f], v[w], v["O'"]] for f, w in ORTHOSCHEMES])
+
+
+def volume(cube: SlantedCubeModel) -> float:
+    """Exact hyperbolic volume of a slanted cube: the sum of its six
+    orthoscheme volumes."""
+    return float(orthoscheme_volume(*essential_angles(orthoschemes(cube))).sum())
+
+
+def beta(realization) -> float:
     """Sum over the faces of an acute geodesic triangulation of the volumes
     of the slanted cubes dual to the all-right triangle.
 
     ``realization`` must provide ``parent.faces`` and unit-vector positions;
     a non-acute face raises ValidationError.
     """
-    total = 0.0
-    var = 0.0
-    seeds = np.random.SeedSequence(seed).spawn(len(realization.parent.faces))
-    for i, face in enumerate(realization.parent.faces):
+    tetra = []
+    for face in realization.parent.faces:
         pa, pb, pc = (realization.positions[v] for v in face)
         R = triangle_from_points(pa, pb, pc)
         if not is_acute(R):
@@ -333,9 +337,5 @@ def beta(realization, samples: int, seed: int = 0) -> VolumeEstimate:
         witness = solve_dual_22p(R, 2)
         if witness is None:
             raise ValidationError(f"face {tuple(face)} admits no all-right dual cube")
-        cube = build_slanted_cube(witness)
-        est = volume(cube, samples, seed=int(seeds[i].generate_state(1)[0]))
-        total += est.value
-        var += est.stderr ** 2
-    return VolumeEstimate(value=total, stderr=math.sqrt(var),
-                          samples=samples * len(realization.parent.faces))
+        tetra.append(orthoschemes(build_slanted_cube(witness)))
+    return float(orthoscheme_volume(*essential_angles(np.concatenate(tetra))).sum())

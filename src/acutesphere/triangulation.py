@@ -458,9 +458,10 @@ def has_chordless_square(tri: AbstractTriangulation) -> Optional[CycleWitness]:
 
 def separating_interiors(tri: AbstractTriangulation, cycle):
     """Interior-vertex sets of the regions cut out by a cycle, nonempty ones
-    only.  The cycle separates exactly when two or more regions contain a
-    vertex not on the cycle."""
-    return tuple(interior for _, interior in cycle_sides(tri, cycle) if interior)
+    only, in sorted order (``cycle_sides`` finds regions in set iteration
+    order, which depends on the string hash seed).  The cycle separates
+    exactly when two or more regions contain a vertex not on the cycle."""
+    return tuple(sorted(interior for _, interior in cycle_sides(tri, cycle) if interior))
 
 
 def _bounds_faces(tri: AbstractTriangulation, cycle, boundary) -> bool:

@@ -160,13 +160,14 @@ def test_criterion_6_planar_pipeline():
 def test_criterion_7_beta_volume():
     t0 = time.perf_counter()
     res = realize_sphere(fixtures.load("icosahedron"), seed=0)
-    est = beta(res.realization, samples=1_000_000, seed=0)
+    value = beta(res.realization)
     dt = time.perf_counter() - t0
-    rel = abs(est.value - DODECAHEDRON_VOLUME) / DODECAHEDRON_VOLUME
-    assert rel < 0.01, f"beta {est.value} vs {DODECAHEDRON_VOLUME} ({rel:.3%})"
+    rel = abs(value - DODECAHEDRON_VOLUME) / DODECAHEDRON_VOLUME
+    assert rel < 0.01, f"beta {value} vs {DODECAHEDRON_VOLUME} ({rel:.3%})"
+    assert rel <= 1e-10, f"beta {value!r} vs {DODECAHEDRON_VOLUME!r} (relative {rel:.2e})"
     assert dt < 60.0, f"took {dt:.1f}s"
-    _ok(7, f"beta = {est.value:.4f} +- {est.stderr:.4f} vs dodecahedron "
-           f"{DODECAHEDRON_VOLUME:.4f} ({rel:.3%}) in {dt:.1f}s")
+    _ok(7, f"beta = {value:.12f} vs dodecahedron {DODECAHEDRON_VOLUME:.12f} "
+           f"(relative {rel:.1e}) in {dt:.1f}s")
 
 
 def test_criterion_8_alpha_estimates():

@@ -5,7 +5,7 @@ import pytest
 
 from acutesphere.duality import (
     AbsenceCertificate, SigmaCurve, foot_parameter, sigma, solve_dual_22p,
-    solve_dual_general, solve_on_curve)
+    solve_dual_general)
 from acutesphere.errors import GeometryError, ValidationError
 from acutesphere.spherical import (CornerMap, from_angles, from_sides, polar_dual,
                                    triangle_pqr)
@@ -62,7 +62,7 @@ def test_foot_parameter_values():
 def test_curve_closed_form_right_angle():
     curve = SigmaCurve(0.9, math.pi / 2)
     for x in np.linspace(math.cos(0.9) + 1e-6, 1.0, 20):
-        assert solve_on_curve(curve, x) == pytest.approx(math.cos(0.9) / x, abs=1e-12)
+        assert curve.solve_y(x) == pytest.approx(math.cos(0.9) / x, abs=1e-12)
 
 
 def test_curve_endpoints():
@@ -83,7 +83,7 @@ def test_curve_residuals_random(rng):
         curve = SigmaCurve(c, gamma)
         lo, hi = curve.x_domain()
         x = rng.uniform(lo + 1e-9, hi - 1e-9)
-        y = solve_on_curve(curve, x)
+        y = curve.solve_y(x)
         assert abs(curve(x, y)) < 1e-12
 
 

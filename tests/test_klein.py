@@ -1,12 +1,16 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from acutesphere.duality import DualityWitness, solve_dual_22p, solve_dual_general
 from acutesphere.errors import ValidationError
-from acutesphere.klein import (beta, boost_to, build_slanted_cube,
-                               hyperbolic_distance, volume)
+from acutesphere.klein import (ORTHOSCHEMES, beta, boost_to, build_slanted_cube,
+                               essential_angles, hyperbolic_distance, lobachevsky,
+                               orthoscheme_volume, orthoschemes, volume)
 from acutesphere.spherical import CornerMap, from_angles, triangle_pqr
 
 from conftest import random_acute_triangle
@@ -16,6 +20,29 @@ EQUILATERAL = from_angles(2 * math.pi / 5, 2 * math.pi / 5, 2 * math.pi / 5)
 # right-angled dodecahedron volume, frozen from the Lobachevsky-function
 # oracle (scripts/dodecahedron_volume_oracle.py)
 DODECAHEDRON_VOLUME = 4.306207600730809
+
+ORACLE_SCRIPT = (Path(__file__).resolve().parents[1]
+                 / "scripts" / "dodecahedron_volume_oracle.py")
+
+
+def _mc_volume(cube, samples, seed):
+    """Independent Monte-Carlo reference: uniform samples in the Euclidean
+    bounding box of the vertices, filtered by the six half-spaces and
+    weighted by the Klein density (1 - |p|^2)^(-2).  Returns (value, stderr)."""
+    verts = np.vstack(list(cube.vertices.values()))
+    lo, hi = verts.min(axis=0), verts.max(axis=0)
+    box_vol = float(np.prod(hi - lo))
+    normals = np.vstack([n for n, _ in cube.half_spaces])
+    offsets = np.array([d for _, d in cube.half_spaces])
+    pts = np.random.default_rng(seed).uniform(lo, hi, size=(samples, 3))
+    inside = np.all(pts @ normals.T <= offsets + 1e-12, axis=1)
+    w = np.zeros(samples)
+    w[inside] = (1.0 - np.einsum("ij,ij->i", pts[inside], pts[inside])) ** -2
+    return box_vol * w.mean(), box_vol * w.std() / math.sqrt(samples)
+
+
+def _tetra_euclidean_volume(t):
+    return abs(np.linalg.det(t[1:] - t[0])) / 6
 
 
 def test_boost_preserves_minkowski_form(rng):
@@ -64,46 +91,101 @@ def test_degenerate_witness_rejected():
                        corner_map=CornerMap(), residuals=(0.0, 0.0, 0.0))
 
 
-def test_volume_requires_samples():
+def test_volume_positive_and_deterministic():
     cube = build_slanted_cube(solve_dual_22p(EQUILATERAL, 2))
-    with pytest.raises(ValidationError):
-        volume(cube, 999)
-
-
-def test_volume_thread_count_invariant(monkeypatch):
-    # shard sums combine in fixed order, so the estimate only depends on the
-    # seed, not on ACUTE_SPHERE_THREADS
-    cube = build_slanted_cube(solve_dual_22p(EQUILATERAL, 2))
-    a = volume(cube, 700000, seed=42)   # spans two shards
-    monkeypatch.setenv("ACUTE_SPHERE_THREADS", "4")
-    b = volume(cube, 700000, seed=42)
-    assert a.value == b.value and a.stderr == b.stderr
-
-
-def test_volume_positive_and_seed_deterministic():
-    cube = build_slanted_cube(solve_dual_22p(EQUILATERAL, 2))
-    a = volume(cube, 50000, seed=7)
-    b = volume(cube, 50000, seed=7)
-    c = volume(cube, 50000, seed=8)
-    assert a.value == b.value and a.stderr == b.stderr
-    assert a.value != c.value
-    assert a.value > 0
+    v = volume(cube)
+    assert isinstance(v, float) and v > 0
+    assert volume(build_slanted_cube(solve_dual_22p(EQUILATERAL, 2))) == v
 
 
 def test_icosahedral_cube_volume_against_oracle():
     # 20 such cubes tile the right-angled dodecahedron
     cube = build_slanted_cube(solve_dual_22p(EQUILATERAL, 2))
-    est = volume(cube, 400000, seed=3)
-    expected = DODECAHEDRON_VOLUME / 20
-    assert abs(est.value - expected) < max(4 * est.stderr, 2e-3)
+    assert volume(cube) == pytest.approx(DODECAHEDRON_VOLUME / 20, abs=1e-12)
 
 
 def test_volume_invariant_under_corner_relabeling(rng):
     R = random_acute_triangle(rng)
     m = CornerMap.from_dict({"A": "B", "B": "C", "C": "A"})
-    v1 = volume(build_slanted_cube(solve_dual_22p(R, 2)), 200000, seed=5)
-    v2 = volume(build_slanted_cube(solve_dual_22p(R, 2, m)), 200000, seed=6)
-    assert abs(v1.value - v2.value) < 3 * math.hypot(v1.stderr, v2.stderr)
+    v1 = volume(build_slanted_cube(solve_dual_22p(R, 2)))
+    v2 = volume(build_slanted_cube(solve_dual_22p(R, 2, m)))
+    assert v1 == pytest.approx(v2, abs=1e-12)
+
+
+def test_volume_matches_monte_carlo(rng):
+    # exact sum of six orthoschemes against the box-sampling estimate, also
+    # for (2,2,p) targets whose dihedral at O'X' is pi/p
+    for k in range(12):
+        cube = build_slanted_cube(solve_dual_22p(random_acute_triangle(rng), (2, 3, 5)[k % 3]))
+        mc, stderr = _mc_volume(cube, 200_000, seed=k)
+        assert abs(volume(cube) - mc) < 4 * stderr, (volume(cube), mc, stderr)
+
+
+def test_orthoschemes_tile_the_cube(rng):
+    # the six tetrahedra are Euclidean in the Klein model and fill the
+    # cube's convex hull, up to angles pi/2 - 1e-4
+    for _ in range(200):
+        cube = build_slanted_cube(solve_dual_22p(random_acute_triangle(rng), 2))
+        hull = ConvexHull(np.vstack(list(cube.vertices.values()))).volume
+        parts = sum(_tetra_euclidean_volume(t) for t in orthoschemes(cube))
+        assert parts == pytest.approx(hull, rel=1e-12)
+
+
+def test_orthoscheme_angles_split_cube_dihedrals(rng):
+    # the orthoschemes meeting along OF split the cube's dihedral there,
+    # those meeting along W'O' split its right angle, and the six around
+    # OO' close up to 2 pi
+    for _ in range(20):
+        cube = build_slanted_cube(solve_dual_22p(random_acute_triangle(rng), 2))
+        a, b, c = essential_angles(orthoschemes(cube))
+        split_o, split_far = {}, {}
+        for (f, w), ai, ci in zip(ORTHOSCHEMES, a, c):
+            split_o[f] = split_o.get(f, 0.0) + ci
+            split_far[w] = split_far.get(w, 0.0) + ai
+        for f, angle in split_o.items():
+            assert angle == pytest.approx(cube.dihedrals[("O", f)], abs=1e-10)
+        for angle in split_far.values():
+            assert angle == pytest.approx(math.pi / 2, abs=1e-10)
+        assert b.sum() == pytest.approx(2 * math.pi, abs=1e-10)
+
+
+def test_lobachevsky_basic_values():
+    # odd, pi-periodic, zero at multiples of pi/2; 2 L(pi/6) is Gieseking's
+    # constant and 8 L(pi/4) the volume of the regular ideal octahedron
+    t = np.linspace(-4.0, 4.0, 81)
+    assert np.allclose(lobachevsky(-t), -lobachevsky(t), atol=1e-15)
+    assert np.allclose(lobachevsky(t + math.pi), lobachevsky(t), atol=1e-14)
+    assert np.allclose(lobachevsky(np.arange(-4, 5) * math.pi / 2), 0.0, atol=1e-15)
+    assert 2 * lobachevsky(math.pi / 6) == pytest.approx(1.0149416064, abs=1e-10)
+    assert 8 * lobachevsky(math.pi / 4) == pytest.approx(3.6638623767, abs=1e-10)
+
+
+def _load_oracle():
+    pytest.importorskip("mpmath")
+    spec = importlib.util.spec_from_file_location("dodecahedron_volume_oracle", ORACLE_SCRIPT)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    return oracle
+
+
+def test_oracle_script_reproduces_frozen_volume():
+    oracle = _load_oracle()
+    mp = oracle.mp
+    exact = 120 * oracle.orthoscheme_volume(mp.pi / 5, mp.pi / 3, mp.pi / 4)
+    assert abs(float(exact) - DODECAHEDRON_VOLUME) < 1e-14
+    ours = 120 * orthoscheme_volume(math.pi / 5, math.pi / 3, math.pi / 4)
+    assert abs(float(ours) - DODECAHEDRON_VOLUME) < 1e-12
+
+
+def test_lobachevsky_matches_oracle():
+    oracle = _load_oracle()
+    grid = np.concatenate([
+        np.linspace(-math.pi, math.pi, 241),
+        [0.0, 1e-300, 1e-12, -1e-8, 1e-4, math.pi / 2 - 1e-12, -math.pi / 2 + 1e-9,
+         math.pi / 2 + 1e-6, math.pi - 1e-10, -math.pi + 1e-7]])
+    ours = lobachevsky(grid)
+    for t, value in zip(grid, ours):
+        assert abs(value - float(oracle.lobachevsky(oracle.mp.mpf(t)))) < 1e-14, t
 
 
 def test_duality_symmetry_isometric_cubes(rng):
@@ -153,4 +235,4 @@ def test_beta_rejects_non_acute():
         pos[f"r{i}"] = np.array([math.cos(ang), math.sin(ang), 0.0])
     real = GeodesicRealization(octa, pos)
     with pytest.raises(ValidationError, match="not acute"):
-        beta(real, 2000)
+        beta(real)
