@@ -12,12 +12,13 @@ initialization; all randomness is drawn from an explicit seed.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
 
-from .errors import InternalInconsistency, SolveError
+from .errors import SolveError
 from .klein import boost_to
 from .triangulation import AbstractTriangulation
 
@@ -28,6 +29,12 @@ class PatternSolution:
     radii: np.ndarray          # (V,), zero at ideal vertices
     residual: float            # max |edge residual|
     iterations: int
+    pole: object               # Tutte pole vertex of the start that succeeded
+    starts: int                # starts tried, that one included
+
+
+# record of one start of the multi-start solve (reason: why it was rejected)
+SolveAttempt = namedtuple("SolveAttempt", "pole residual iterations reason")
 
 
 class PatternProblem:
@@ -80,21 +87,6 @@ class PatternProblem:
         for v in range(self.nv):
             J[len(self.edges) + v, 3 * v:3 * v + 3] = 2.0 * pos[v]
         return J
-
-    def check_gradient(self, theta, rng, columns=6, h=1e-6, tol=1e-4):
-        """Spot-check the analytic Jacobian against central differences."""
-        J = self.jacobian(theta)
-        idx = rng.choice(self.nvar, size=min(columns, self.nvar), replace=False)
-        for i in idx:
-            tp = theta.copy()
-            tm = theta.copy()
-            tp[i] += h
-            tm[i] -= h
-            fd = (self.residuals(tp) - self.residuals(tm)) / (2 * h)
-            err = np.max(np.abs(fd - J[:, i])) / max(1.0, np.max(np.abs(J[:, i])))
-            if err > tol:
-                raise InternalInconsistency(
-                    f"jacobian column {i} disagrees with finite differences ({err:.2e})")
 
 
 def levenberg_marquardt(problem, theta0, tol=1e-13, max_iter=400):
@@ -272,53 +264,53 @@ def solve_pattern(tri: AbstractTriangulation, fixed_zero=(), seed: int = 0,
                   validate=None) -> PatternSolution:
     """Solve the orthogonal circle pattern of a closed triangulation.
 
-    Multi-start: each attempt picks a pole vertex for the Tutte
-    initialization from the seeded RNG, runs LM, Moebius-normalizes and
-    re-polishes.  ``validate`` may reject a converged solution (returning an
+    Multi-start: each attempt takes the next pole vertex for the Tutte
+    initialization, runs LM, Moebius-normalizes and re-polishes.  Poles go
+    by descending degree (ties in a seeded order): from a high-degree pole
+    such as a cap center the first start converges where low-degree poles
+    stagnate.  ``validate`` may reject a converged solution (returning an
     error string) to force a restart, e.g. when non-adjacent disks overlap.
-    Raises SolveError with the best residual if every start fails.
+    Raises SolveError with the record of every start if all of them fail.
     """
     problem = PatternProblem(tri, fixed_zero)
     rng = np.random.default_rng(seed)
-    best = math.inf
-    last_reason = "no attempts"
-    order = list(rng.permutation(len(tri.vertices)))
+    attempts = []
+    order = sorted(rng.permutation(len(tri.vertices)),
+                   key=lambda i: -tri.degree(tri.vertices[i]))
     for attempt in range(max_starts):
         pole = tri.vertices[order[attempt % len(order)]]
         pos0 = tutte_sphere_init(tri, pole, rng)
-        r0 = initial_radii(problem, pos0)
-        theta0 = problem.pack(pos0, r0)
-        if attempt == 0:
-            problem.check_gradient(theta0, rng)
-        theta, resid, iters = levenberg_marquardt(problem, theta0)
-        best = min(best, resid)
+        theta, resid, iters = levenberg_marquardt(
+            problem, problem.pack(pos0, initial_radii(problem, pos0)))
+        pos, r = problem.unpack(theta)
+        reason = None
         if resid > tol:
-            last_reason = f"stagnated at residual {resid:.3e}"
-            continue
-        pos, r = problem.unpack(theta)
-        if np.any(r[problem.free_r] <= 1e-6) or np.any(r[problem.free_r] >= math.pi / 2 - 1e-9):
-            last_reason = "radii left (0, pi/2)"
-            continue
-        try:
-            pos, r = moebius_normalize(pos, r, problem.fixed)
-        except SolveError as exc:
-            last_reason = str(exc)
-            continue
-        theta, resid, more = levenberg_marquardt(problem, problem.pack(pos, r))
-        pos, r = problem.unpack(theta)
-        pos = pos / np.linalg.norm(pos, axis=1)[:, None]
-        edge_res = float(np.max(np.abs(problem.residuals(problem.pack(pos, r))[:len(problem.edges)])))
-        if edge_res > tol:
-            last_reason = f"post-normalization residual {edge_res:.3e}"
-            continue
-        sol = PatternSolution(positions=pos, radii=r, residual=edge_res,
-                              iterations=iters + more)
-        if validate is not None:
-            reason = validate(sol)
-            if reason:
-                last_reason = reason
-                continue
-        return sol
+            reason = f"stagnated at residual {resid:.3e}"
+        elif np.any(r[problem.free_r] <= 1e-6) or np.any(r[problem.free_r] >= math.pi / 2 - 1e-9):
+            reason = "radii left (0, pi/2)"
+        else:
+            try:
+                pos, r = moebius_normalize(pos, r, problem.fixed)
+            except SolveError as exc:
+                reason = str(exc)
+        if reason is None:
+            theta, _, more = levenberg_marquardt(problem, problem.pack(pos, r))
+            iters += more
+            pos, r = problem.unpack(theta)
+            pos = pos / np.linalg.norm(pos, axis=1)[:, None]
+            resid = float(np.max(np.abs(problem.residuals(problem.pack(pos, r))[:len(problem.edges)])))
+            if resid > tol:
+                reason = f"post-normalization residual {resid:.3e}"
+            else:
+                sol = PatternSolution(positions=pos, radii=r, residual=resid,
+                                      iterations=iters, pole=pole, starts=attempt + 1)
+                reason = validate(sol) if validate is not None else None
+                if not reason:
+                    return sol
+        attempts.append(SolveAttempt(pole, resid, iters, reason))
+    last_reason = attempts[-1].reason if attempts else "no attempts"
     raise SolveError(
         f"circle pattern did not converge after {max_starts} starts ({last_reason}); "
-        "this is not a proof of nonexistence", best_residual=best)
+        "this is not a proof of nonexistence",
+        best_residual=min((a.residual for a in attempts), default=math.inf),
+        attempts=tuple(attempts))

@@ -130,6 +130,25 @@ class CirclePatternResidual:
         return min(self.nonedge_clearances.values(), default=math.inf)
 
 
+def _nonedge_pairs(tri: AbstractTriangulation):
+    """Index arrays (i, j), i < j, of the non-adjacent vertex pairs, in the
+    row-major order of ``tri.vertices``."""
+    index = {v: k for k, v in enumerate(tri.vertices)}
+    adjacent = np.eye(len(index), dtype=bool)
+    u, v = np.array([[index[w] for w in e] for e in tri.edges]).T
+    adjacent[u, v] = adjacent[v, u] = True
+    i, j = np.triu_indices(len(index), 1)
+    keep = ~adjacent[i, j]
+    return i[keep], j[keep]
+
+
+def _pair_distances(pos: np.ndarray, i, j) -> np.ndarray:
+    """Spherical distances between the rows i and j of ``pos`` (the atan2
+    form of ``spherical_distance``)."""
+    return np.arctan2(np.linalg.norm(np.cross(pos[i], pos[j]), axis=1),
+                      np.einsum("ij,ij->i", pos[i], pos[j]))
+
+
 def pattern_residuals(real: GeodesicRealization) -> CirclePatternResidual:
     """Measure the circle-pattern equations of a realization with radii."""
     if real.radii is None:
@@ -140,16 +159,12 @@ def pattern_residuals(real: GeodesicRealization) -> CirclePatternResidual:
         u, v = tuple(e)
         edge_res[e] = (math.cos(spherical_distance(real.positions[u], real.positions[v]))
                        - math.cos(real.radii[u]) * math.cos(real.radii[v]))
-    if len(edge_res) != len(tri.edges):
-        raise InternalInconsistency("residual vector length mismatch")
-    clearances = {}
     verts = tri.vertices
-    for i, u in enumerate(verts):
-        for v in verts[i + 1:]:
-            if tri.has_edge(u, v):
-                continue
-            d = spherical_distance(real.positions[u], real.positions[v])
-            clearances[frozenset((u, v))] = d - (real.radii[u] + real.radii[v])
+    r = np.array([real.radii[v] for v in verts])
+    i, j = _nonedge_pairs(tri)
+    gaps = _pair_distances(real.position_array(), i, j) - (r[i] + r[j])
+    clearances = {frozenset((verts[a], verts[b])): g
+                  for a, b, g in zip(i.tolist(), j.tolist(), gaps.tolist())}
     return CirclePatternResidual(edge_residuals=edge_res, nonedge_clearances=clearances)
 
 
@@ -229,38 +244,32 @@ def glue_caps(tri: AbstractTriangulation) -> CappingInfo:
 
 
 def _pattern_validator(tri: AbstractTriangulation, problem_index, hubs):
-    hubset = set(hubs)
+    i, j = _nonedge_pairs(tri)
+    # non-adjacent disks must be disjoint (cited for genuine nerve patterns;
+    # verified post hoc, violations force a restart); the two disks opposite
+    # across an ideal hub are tangent at the hub point
+    near_hub = np.array([[v in tri.adjacency[h] for v in tri.vertices] for h in hubs],
+                        dtype=bool).reshape(len(hubs), len(tri.vertices))
+    slack = np.where((near_hub[:, i] & near_hub[:, j]).any(axis=0), -1e-9, 1e-9)
+    free = np.array([v not in hubs for v in tri.vertices])
+    oriented = tri.oriented_faces()
+    faces = np.array([[problem_index[v] for v in f] for f in oriented])
 
     def validate(sol: PatternSolution):
         pos, r = sol.positions, sol.radii
-        # non-adjacent disks must be disjoint (cited for genuine nerve
-        # patterns; verified post hoc, violations force a restart); the two
-        # disks opposite across an ideal hub are tangent at the hub point
-        for i, u in enumerate(tri.vertices):
-            for j in range(i + 1, len(tri.vertices)):
-                v = tri.vertices[j]
-                if tri.has_edge(u, v):
-                    continue
-                shared_hub = any(h in tri.adjacency[u] and h in tri.adjacency[v]
-                                 for h in hubset)
-                d = spherical_distance(pos[i], pos[j])
-                slack = -1e-9 if shared_hub else 1e-9
-                if d <= r[i] + r[j] + slack:
-                    return f"non-adjacent disks {u}, {v} are not disjoint"
-        sign = None
-        for f in tri.oriented_faces():
-            d = float(np.linalg.det(np.vstack([pos[problem_index[v]] for v in f])))
-            if abs(d) < 1e-12:
-                return f"degenerate face {f}"
-            if sign is None:
-                sign = d > 0
-            elif (d > 0) != sign:
-                return "solution is not consistently oriented"
-        for i, v in enumerate(tri.vertices):
-            if v in hubset:
-                continue
-            if not (0.0 < r[i] < math.pi / 2):
-                return f"radius of {v} outside (0, pi/2)"
+        bad = np.flatnonzero(_pair_distances(pos, i, j) <= r[i] + r[j] + slack)
+        if bad.size:
+            u, v = tri.vertices[i[bad[0]]], tri.vertices[j[bad[0]]]
+            return f"non-adjacent disks {u}, {v} are not disjoint"
+        det = np.linalg.det(pos[faces])
+        flat = np.abs(det) < 1e-12
+        bad = np.flatnonzero(flat | ((det > 0) != (det[0] > 0)))
+        if bad.size:
+            return (f"degenerate face {oriented[bad[0]]}" if flat[bad[0]]
+                    else "solution is not consistently oriented")
+        bad = np.flatnonzero(free & ~((0.0 < r) & (r < math.pi / 2)))
+        if bad.size:
+            return f"radius of {tri.vertices[bad[0]]} outside (0, pi/2)"
         return None
 
     return validate
@@ -318,9 +327,7 @@ def realize_sphere(tri: AbstractTriangulation, seed: int = 0, tol: float = 1e-11
         keep_r = {v: radii[v] for v in tri.vertices}
         real = GeodesicRealization(tri, keep, keep_r).validate()
 
-    max_angle = 0.0
-    for f, v, ang in real.corner_angles():
-        max_angle = max(max_angle, ang)
+    max_angle = max(ang for _, _, ang in real.corner_angles())
     margin = math.pi / 2 - max_angle
     if margin <= 0:
         raise SolveError(

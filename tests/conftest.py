@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from acutesphere import fixtures as fixture_registry
+from acutesphere.errors import ValidationError
 from acutesphere.spherical import from_angles, from_sides
+from acutesphere.triangulation import diagonal_flip
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +30,21 @@ def random_triangle(rng):
             continue
         if a < b + c - 1e-6 and b < c + a - 1e-6 and c < a + b - 1e-6:
             return from_sides(a, b, c)
+
+
+def random_flips(tri, rng, count, keep=None):
+    """Up to ``count`` diagonal flips of random interior edges (``rng`` is a
+    ``random.Random``); with ``keep``, a flip whose result fails ``keep`` is
+    undone."""
+    for _ in range(count):
+        edges = sorted(sorted(e) for e, fs in tri.edge_faces.items() if len(fs) == 2)
+        try:
+            flipped = diagonal_flip(tri, rng.choice(edges))
+        except ValidationError:   # the flip would double an edge
+            continue
+        if keep is None or keep(flipped):
+            tri = flipped
+    return tri
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,10 @@ import pytest
 import acutesphere
 from acutesphere import fixtures
 from acutesphere.cli import main
-from acutesphere.triangulation import (AbstractTriangulation,
-                                       is_flag_no_separating_square, serialize)
+from acutesphere.triangulation import (AbstractTriangulation, double,
+                                       is_flag_no_separating_square, is_flag_no_square,
+                                       maehara_cap, serialize)
+from conftest import random_flips
 
 
 def fixture_file(name):
@@ -210,3 +213,33 @@ def test_check_and_realize_agree_on_verdicts(capsys):
         check_code, _, _ = run(capsys, ["check", path])
         realize_code, _, _ = run(capsys, ["realize", path, "--seed", "0"])
         assert (check_code == 0) == (realize_code == 0), name
+
+
+def test_check_and_realize_agree_on_flip_walks(tmp_path, capsys):
+    # 20 seeded walks of diagonal flips that stay flag no-square, from the
+    # icosahedron (which has no such flip) and the n = 5 and n = 8 doubles;
+    # each walk's end must realize, and one more unrestricted flip of it
+    # (mostly obstructed) must get the same verdict from both commands: an
+    # acute pattern when realizable, else refusals with the same witness kind
+    rng = random.Random(20261019)
+    bases = [fixtures.load("icosahedron"), double(maehara_cap(5)), double(maehara_cap(8))]
+    outcomes = {0: 0, 1: 0}
+    for k in range(20):
+        walk = random_flips(bases[k % 3], rng, rng.randint(1, 12), keep=is_flag_no_square)
+        for step, tri in enumerate((walk, random_flips(walk, rng, 1))):
+            path = tmp_path / f"walk_{k}_{step}.json"
+            path.write_text(serialize(tri))
+            check_code, check, _ = run(capsys, ["check", str(path)])
+            realize_code, real, _ = run(capsys, ["realize", str(path)])
+            assert check_code == realize_code, (k, step)
+            assert step == 1 or check_code == 0, k
+            outcomes[check_code] += 1
+            if check_code == 0:
+                assert check["verdicts"]["itoh_face_count"], (k, step)
+                verdicts, metrics = real["verdicts"], real["metrics"]
+                assert verdicts["acute"] and verdicts["coinciding_perpendiculars"], (k, step)
+                assert metrics["edge_residual"] <= 1e-11, (k, step)
+                assert metrics["margin"] > 0 and metrics["min_nonedge_clearance"] > 0, (k, step)
+            else:
+                assert real["witnesses"][0]["kind"] == check["witnesses"][0]["kind"], k
+    assert outcomes[1] >= 10, outcomes

@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from acutesphere.errors import ValidationError
-from acutesphere.pattern import (PatternProblem, initial_radii, levenberg_marquardt,
-                                 tutte_sphere_init)
+from acutesphere import fixtures
+from acutesphere.errors import SolveError, ValidationError
+from acutesphere.pattern import (PatternProblem, PatternSolution, initial_radii,
+                                 levenberg_marquardt, solve_pattern, tutte_sphere_init)
 from acutesphere.realization import (CombinatorialRefusal, GeodesicRealization,
-                                     alpha_estimate, glue_caps, is_subordinate,
-                                     project_euclidean, realize_sphere, verify_acute,
+                                     _pattern_validator, alpha_estimate, glue_caps,
+                                     is_subordinate, pattern_residuals, project_euclidean,
+                                     realize_sphere, verify_acute,
                                      verify_coinciding_perpendiculars)
-from acutesphere.triangulation import EdgeLabeling
+from acutesphere.spherical import spherical_distance
+from acutesphere.triangulation import (EdgeLabeling, double, ideal_allright_conditions,
+                                       is_flag_no_square, maehara_cap)
 
 
 @pytest.fixture(scope="module")
@@ -251,3 +255,194 @@ def test_subordinate_fails_with_right_angle(load):
         pos[f"r{i}"] = np.array([math.cos(ang), math.sin(ang), 0.0])
     real = GeodesicRealization(octa, pos)
     assert not is_subordinate(real, EdgeLabeling(octa, {}))
+
+
+def test_pattern_jacobian_matches_finite_differences(load):
+    # central differences on every column, at a Tutte start: the closed
+    # icosahedron, and the capped square disk whose hub has radius zero
+    # (no radius column) while its neighbours keep theirs
+    capped = glue_caps(load("square_disk_a"))
+    cases = [(load("icosahedron"), ()), (capped.closed, capped.hub_vertices)]
+    rng = np.random.default_rng(7)
+    h = 1e-6
+    for tri, hubs in cases:
+        problem = PatternProblem(tri, fixed_zero=hubs)
+        pos0 = tutte_sphere_init(tri, tri.vertices[0], rng)
+        theta = problem.pack(pos0, initial_radii(problem, pos0))
+        J = problem.jacobian(theta)
+        assert J.shape == (problem.nres, problem.nvar)
+        assert problem.nvar == 4 * len(tri.vertices) - len(hubs)
+        for col in range(problem.nvar):
+            step = np.zeros(problem.nvar)
+            step[col] = h
+            fd = (problem.residuals(theta + step) - problem.residuals(theta - step)) / (2 * h)
+            assert np.max(np.abs(fd - J[:, col])) < 1e-8, (tri, col)
+
+
+@pytest.mark.parametrize("n", [12, 20, 40])
+def test_realize_double_cap_ladder_first_start(n):
+    # the degree-ranked pole puts a cap center at the north pole, from
+    # where the first start converges on every rung of the ladder
+    res = realize_sphere(double(maehara_cap(n)), seed=0, max_starts=1)
+    assert res.residual <= 1e-11
+    assert res.margin > 0
+    assert pattern_residuals(res.closed_realization).min_clearance() > 0
+
+
+def test_solve_pattern_records_starts(load):
+    ico = load("icosahedron")
+    sol = solve_pattern(ico, seed=0)
+    assert sol.starts == 1 and sol.pole in ico.vertices
+    rejected = []
+
+    def reject_first(s):
+        rejected.append(s.pole)
+        return "rejected" if len(rejected) == 1 else None
+
+    sol = solve_pattern(ico, seed=0, validate=reject_first)
+    assert sol.starts == 2 and sol.pole == rejected[1] != rejected[0]
+
+    dbl = double(maehara_cap(5))
+    with pytest.raises(SolveError) as exc:
+        solve_pattern(dbl, seed=0, max_starts=3, validate=lambda s: "rejected")
+    err = exc.value
+    assert str(err).startswith("circle pattern did not converge after 3 starts (rejected)")
+    assert len(err.attempts) == 3
+    assert all(a.reason == "rejected" and a.residual <= 1e-11 and a.iterations > 0
+               for a in err.attempts)
+    # poles go down the degree ranking, the two cap centers first
+    assert {a.pole for a in err.attempts[:2]} == {"c", "c*"}
+    degrees = [dbl.degree(a.pole) for a in err.attempts]
+    assert degrees == sorted(degrees, reverse=True)
+
+
+# -- vectorised non-edge checks against the pair loop they replaced ---------
+
+
+def _brute_validator(tri, hubs, pos, r):
+    hubset = set(hubs)
+    for i, u in enumerate(tri.vertices):
+        for j in range(i + 1, len(tri.vertices)):
+            v = tri.vertices[j]
+            if tri.has_edge(u, v):
+                continue
+            shared_hub = any(h in tri.adjacency[u] and h in tri.adjacency[v]
+                             for h in hubset)
+            d = spherical_distance(pos[i], pos[j])
+            slack = -1e-9 if shared_hub else 1e-9
+            if d <= r[i] + r[j] + slack:
+                return f"non-adjacent disks {u}, {v} are not disjoint"
+    index = {v: i for i, v in enumerate(tri.vertices)}
+    sign = None
+    for f in tri.oriented_faces():
+        d = float(np.linalg.det(np.vstack([pos[index[v]] for v in f])))
+        if abs(d) < 1e-12:
+            return f"degenerate face {f}"
+        if sign is None:
+            sign = d > 0
+        elif (d > 0) != sign:
+            return "solution is not consistently oriented"
+    for i, v in enumerate(tri.vertices):
+        if v not in hubset and not (0.0 < r[i] < math.pi / 2):
+            return f"radius of {v} outside (0, pi/2)"
+    return None
+
+
+def _brute_clearances(tri, pos, r):
+    out = {}
+    for i, u in enumerate(tri.vertices):
+        for j in range(i + 1, len(tri.vertices)):
+            if not tri.has_edge(u, tri.vertices[j]):
+                d = spherical_distance(pos[i], pos[j])
+                out[frozenset((u, tri.vertices[j]))] = d - (r[i] + r[j])
+    return out
+
+
+def _oracle_patterns(tri, hubs, rng):
+    """A Tutte start; for a realizable complex also the solved pattern and
+    variants of it that break one check each."""
+    problem = PatternProblem(tri, fixed_zero=hubs)
+    pos0 = tutte_sphere_init(tri, tri.vertices[0], rng)
+    yield pos0, initial_radii(problem, pos0)
+    if not (is_flag_no_square(tri) and ideal_allright_conditions(tri)):
+        return
+    sol = solve_pattern(tri, fixed_zero=hubs, seed=0)
+    pos, r = sol.positions, sol.radii
+    yield pos, r
+    pairs = [(a, b) for a in range(len(r)) for b in range(a + 1, len(r))
+             if not tri.has_edge(tri.vertices[a], tri.vertices[b])]
+    if pairs:
+        i, j = pairs[len(pairs) // 2]
+        grown = r.copy()                 # two non-adjacent disks overlap
+        grown[i] = grown[j] = spherical_distance(pos[i], pos[j]) / 2 + 1e-3
+        yield pos, grown
+    tiny = np.where(problem.fixed, 0.0, 1e-3)
+    oriented = tri.oriented_faces()
+    u, v, w = (problem.index[x] for x in oriented[3])
+    flat = pos.copy()                    # a degenerate face
+    flat[w] = (pos[u] + pos[v]) / np.linalg.norm(pos[u] + pos[v])
+    yield flat, tiny
+    mirrored = pos.copy()                # one vertex moved to its antipode
+    mirrored[w] = -pos[w]
+    yield mirrored, tiny
+    early = {x for f in oriented[:4] for x in f}
+    late = [problem.index[x] for x in oriented[-1] if x not in early]
+    if late:                             # the degenerate face comes first
+        flat[late[0]] = -pos[late[0]]
+        yield flat, tiny
+    zero = r.copy()                      # a non-hub radius left (0, pi/2)
+    zero[np.flatnonzero(~problem.fixed)[-1]] = 0.0
+    yield pos, zero
+
+
+def test_vectorised_pattern_checks_match_pair_loop():
+    rng = np.random.default_rng(3)
+    corpus = [(name, fixtures.load(name)) for name in fixtures.FIXTURE_NAMES]
+    corpus += [(f"double_{n}", double(maehara_cap(n))) for n in (5, 8)]
+    messages = set()
+    for name, tri in corpus:
+        hubs = ()
+        if not tri.is_closed:
+            capping = glue_caps(tri)
+            tri, hubs = capping.closed, capping.hub_vertices
+        index = {v: k for k, v in enumerate(tri.vertices)}
+        validate = _pattern_validator(tri, index, hubs)
+        for pos, r in _oracle_patterns(tri, hubs, rng):
+            sol = PatternSolution(positions=pos, radii=r, residual=0.0, iterations=0,
+                                  pole=None, starts=0)
+            expected = _brute_validator(tri, hubs, pos, r)
+            assert validate(sol) == expected, name
+            messages.add(expected.split()[0] if expected else None)
+            real = GeodesicRealization(tri, {v: pos[index[v]] for v in tri.vertices},
+                                       {v: float(r[index[v]]) for v in tri.vertices})
+            got = pattern_residuals(real).nonedge_clearances
+            brute = _brute_clearances(tri, pos, r)
+            assert list(got) == list(brute), name
+            assert max((abs(got[k] - brute[k]) for k in brute), default=0.0) <= 1e-15, name
+    assert messages == {None, "non-adjacent", "degenerate", "solution", "radius"}
+
+
+def test_pattern_validator_hub_tangency(load):
+    # the two disks opposite across the ideal hub of the capped square disk
+    # touch at the hub point: their clearance may go down to -1e-9, where
+    # any other non-adjacent pair needs a clearance above +1e-9
+    capping = glue_caps(load("square_disk_a"))
+    tri, hubs = capping.closed, capping.hub_vertices
+    index = {v: k for k, v in enumerate(tri.vertices)}
+    sol = solve_pattern(tri, fixed_zero=hubs, seed=0)
+    ring = sorted(tri.adjacency[hubs[0]], key=index.get)
+    a = ring[0]
+    b = next(x for x in ring[1:] if not tri.has_edge(a, x))
+    i, j = index[a], index[b]
+    gap = spherical_distance(sol.positions[i], sol.positions[j]) - sol.radii[i] - sol.radii[j]
+    assert abs(gap) < 1e-12
+    validate = _pattern_validator(tri, index, hubs)
+    for clearance, ok in ((-0.5e-9, True), (-1.5e-9, False)):
+        r = sol.radii.copy()
+        r[i] += (gap - clearance) / 2
+        r[j] += (gap - clearance) / 2
+        trial = PatternSolution(positions=sol.positions, radii=r, residual=0.0,
+                                iterations=0, pole=None, starts=0)
+        expected = _brute_validator(tri, hubs, sol.positions, r)
+        assert validate(trial) == expected
+        assert (expected is None) == ok, expected

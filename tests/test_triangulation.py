@@ -16,6 +16,7 @@ from acutesphere.triangulation import (
     is_flag_no_separating_square, is_flag_no_square, itoh_face_predicate,
     maehara_cap, parse_document, separating_cycles, serialize, square_wheel,
     triangles_of_graph)
+from conftest import random_flips
 
 
 # -- independent brute-force oracles ----------------------------------------
@@ -69,17 +70,6 @@ def _brute_separating_cycles(tri):
     return out
 
 
-def _random_flips(tri, rng, count):
-    """Up to ``count`` diagonal flips of random interior edges."""
-    for _ in range(count):
-        edges = sorted(sorted(e) for e, fs in tri.edge_faces.items() if len(fs) == 2)
-        try:
-            tri = diagonal_flip(tri, rng.choice(edges))
-        except ValidationError:   # the flip would double an edge
-            continue
-    return tri
-
-
 def _punctured(tri, rng, holes):
     """``tri`` with ``holes`` random faces deleted, or None when the result
     is not a valid planar surface (e.g. two holes meeting at a vertex)."""
@@ -97,7 +87,7 @@ def test_separating_cycles_match_region_search_oracle(load):
     corpus += [double(maehara_cap(n)) for n in range(5, 13)]
     small = [load(name) for name in ("octahedron", "icosahedron", "sphere_28", "sphere_34")]
     small.append(double(maehara_cap(5)))
-    flipped = [_random_flips(base, rng, rng.randint(1, 12))
+    flipped = [random_flips(base, rng, rng.randint(1, 12))
                for base in small for _ in range(4)]
     planar = []
     while len(planar) < 40:
