@@ -18,8 +18,7 @@ from .duality import solve_dual_22p, solve_dual_general
 from .errors import AcuteSphereError, GeometryError, ParseError, ValidationError
 from .klein import beta, build_slanted_cube, volume
 from .realization import (CombinatorialRefusal, alpha_estimate, pattern_residuals,
-                          project_euclidean, realize_sphere, verify_acute,
-                          verify_coinciding_perpendiculars)
+                          project_euclidean, realize_sphere, verify_coinciding_perpendiculars)
 from .spherical import from_angles, from_sides, triangle_pqr
 from .triangulation import (coxeter_face_finite, coxeter_one_ended, diagonal_flip,
                             double, empty_3cycle_obstruction, first_obstruction,
@@ -142,7 +141,7 @@ def cmd_realize(args):
             (Path(args.out) / "obstruction.svg").write_text(
                 exports.graph_svg(tri, exc.witness.cycle))
         return EXIT_OBSTRUCTION
-    acute = verify_acute(res.realization)
+    acute = res.acute
     perp = verify_coinciding_perpendiculars(res.realization)
     residuals = pattern_residuals(res.closed_realization)
     metrics = {

@@ -22,14 +22,18 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import AcuteSphereError, InternalInconsistency, SolveError, ValidationError
-from .pattern import PatternSolution, solve_pattern, tutte_sphere_init
-from .spherical import (corner_angle, perpendicular_foot, polar_dual, slimmer,
-                        spherical_distance, triangle_from_points, triangle_pqr)
+from .pattern import solve_pattern, tutte_sphere_init
+from .spherical import (polar_dual, slimmer, spherical_distance, triangle_from_points,
+                        triangle_pqr)
 from .triangulation import (AbstractTriangulation, CycleWitness, EdgeLabeling,
                             coxeter_face_finite, first_obstruction,
                             ideal_allright_conditions, is_flag_no_separating_square,
                             is_flag_no_square, low_degree_interior_vertices,
                             maehara_cap)
+
+
+POSITION_TOL = 1e-12       # |norm - 1| of a vertex position
+PERPENDICULAR_TOL = 1e-6   # distance between the two perpendicular feet of an edge
 
 
 class CombinatorialRefusal(AcuteSphereError):
@@ -58,53 +62,26 @@ class GeodesicRealization:
 
     def corner_angles(self):
         """(face, vertex, angle) over all corners."""
-        out = []
-        for f in self.parent.faces:
-            pts = [self.positions[v] for v in f]
-            for i, v in enumerate(f):
-                out.append((f, v, corner_angle(pts[i], pts[(i + 1) % 3], pts[(i + 2) % 3])))
-        return out
+        angles = _all_corner_angles(self.position_array(), _corner_index_arrays(self.parent))
+        return [(f, v, ang) for f, three in zip(self.parent.faces, angles.reshape(-1, 3).tolist())
+                for v, ang in zip(f, three)]
 
-    def validate(self, pos_tol=1e-12, angle_tol=1e-8, area_tol=1e-6):
+    def validate(self, angle_tol=1e-8, area_tol=1e-6):
         """Check the realization invariants; raises ValidationError.
 
-        Unit positions, radii in [0, pi/2) with zero only at degree-four
-        (ideal) vertices, nondegenerate consistently oriented faces, angle
-        sum 2 pi at every interior vertex, and total area 4 pi when closed.
+        Unit positions, disjoint non-adjacent disks and radii in (0, pi/2)
+        with zero only at degree-four (ideal) vertices, nondegenerate
+        consistently oriented faces, angle sum 2 pi at every interior
+        vertex, and total area 4 pi when closed (see ``_invariant_check``).
         """
-        for v, p in self.positions.items():
-            if abs(float(np.linalg.norm(p)) - 1.0) > pos_tol:
-                raise ValidationError(f"position of {v} is not unit")
+        r, hubs = None, ()
         if self.radii is not None:
-            for v, r in self.radii.items():
-                if not (0.0 <= r < math.pi / 2):
-                    raise ValidationError(f"radius of {v} outside [0, pi/2): {r!r}")
-                if r == 0.0 and self.parent.degree(v) != 4:
-                    raise ValidationError(
-                        f"zero radius at {v}, which has degree {self.parent.degree(v)}; "
-                        "only degree-four ideal vertices may be points")
-        sign = None
-        for f in self.parent.oriented_faces():
-            d = float(np.linalg.det(np.vstack([self.positions[v] for v in f])))
-            if abs(d) < 1e-12:
-                raise ValidationError(f"degenerate face {f}")
-            if sign is None:
-                sign = d > 0
-            elif (d > 0) != sign:
-                raise ValidationError(f"face {f} is inconsistently oriented")
-        sums: dict = {v: 0.0 for v in self.parent.vertices}
-        total = 0.0
-        for f in self.parent.faces:
-            tri = self.face_triangle(f)
-            total += tri.A + tri.B + tri.C - math.pi
-        for f, v, ang in self.corner_angles():
-            sums[v] += ang
-        boundary = self.parent.boundary_vertices()
-        for v, s in sums.items():
-            if v not in boundary and abs(s - 2 * math.pi) > angle_tol:
-                raise ValidationError(f"angle sum at interior vertex {v} is {s!r}")
-        if self.parent.is_closed and abs(total - 4 * math.pi) > area_tol:
-            raise ValidationError(f"total area {total!r} differs from 4 pi")
+            r = np.array([self.radii[v] for v in self.parent.vertices])
+            hubs = [v for v, x in self.radii.items() if x == 0.0 and self.parent.degree(v) == 4]
+        message = _invariant_check(self.parent, hubs)(
+            self.position_array(), r, angle_tol, area_tol)
+        if message:
+            raise ValidationError(message)
         return self
 
     def to_json(self):
@@ -120,33 +97,36 @@ class CirclePatternResidual:
     """Per-edge orthogonality residuals and per-nonedge clearances of a
     realized circle pattern."""
 
-    edge_residuals: dict        # edge -> cos d(x_u, x_v) - cos r_u cos r_v
-    nonedge_clearances: dict    # pair -> d(x_u, x_v) - (r_u + r_v)
+    edge_residuals: np.ndarray      # cos d(x_u, x_v) - cos r_u cos r_v per edge
+    nonedge_clearances: np.ndarray  # d(x_u, x_v) - (r_u + r_v), in _nonedge_pairs order
 
     def max_edge_residual(self) -> float:
-        return max((abs(r) for r in self.edge_residuals.values()), default=0.0)
+        return float(np.abs(self.edge_residuals).max(initial=0.0))
 
     def min_clearance(self) -> float:
-        return min(self.nonedge_clearances.values(), default=math.inf)
+        return float(self.nonedge_clearances.min(initial=math.inf))
 
 
 def _nonedge_pairs(tri: AbstractTriangulation):
     """Index arrays (i, j), i < j, of the non-adjacent vertex pairs, in the
     row-major order of ``tri.vertices``."""
-    index = {v: k for k, v in enumerate(tri.vertices)}
-    adjacent = np.eye(len(index), dtype=bool)
-    u, v = np.array([[index[w] for w in e] for e in tri.edges]).T
+    adjacent = np.eye(len(tri.vertices), dtype=bool)
+    u, v = _edge_index_arrays(tri)
     adjacent[u, v] = adjacent[v, u] = True
-    i, j = np.triu_indices(len(index), 1)
+    i, j = np.triu_indices(len(tri.vertices), 1)
     keep = ~adjacent[i, j]
     return i[keep], j[keep]
 
 
-def _pair_distances(pos: np.ndarray, i, j) -> np.ndarray:
-    """Spherical distances between the rows i and j of ``pos`` (the atan2
-    form of ``spherical_distance``)."""
-    return np.arctan2(np.linalg.norm(np.cross(pos[i], pos[j]), axis=1),
-                      np.einsum("ij,ij->i", pos[i], pos[j]))
+def _edge_index_arrays(tri: AbstractTriangulation):
+    index = {v: k for k, v in enumerate(tri.vertices)}
+    return np.array([[index[w] for w in e] for e in tri.edges]).T
+
+
+def _pair_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Spherical distances between the rows of p and q (the atan2 form of
+    ``spherical_distance``)."""
+    return np.arctan2(np.linalg.norm(np.cross(p, q), axis=1), np.einsum("ij,ij->i", p, q))
 
 
 def pattern_residuals(real: GeodesicRealization) -> CirclePatternResidual:
@@ -154,18 +134,13 @@ def pattern_residuals(real: GeodesicRealization) -> CirclePatternResidual:
     if real.radii is None:
         raise ValidationError("realization carries no radii")
     tri = real.parent
-    edge_res = {}
-    for e in tri.edges:
-        u, v = tuple(e)
-        edge_res[e] = (math.cos(spherical_distance(real.positions[u], real.positions[v]))
-                       - math.cos(real.radii[u]) * math.cos(real.radii[v]))
-    verts = tri.vertices
-    r = np.array([real.radii[v] for v in verts])
+    pos = real.position_array()
+    r = np.array([real.radii[v] for v in tri.vertices])
+    u, v = _edge_index_arrays(tri)
     i, j = _nonedge_pairs(tri)
-    gaps = _pair_distances(real.position_array(), i, j) - (r[i] + r[j])
-    clearances = {frozenset((verts[a], verts[b])): g
-                  for a, b, g in zip(i.tolist(), j.tolist(), gaps.tolist())}
-    return CirclePatternResidual(edge_residuals=edge_res, nonedge_clearances=clearances)
+    return CirclePatternResidual(
+        edge_residuals=np.cos(_pair_distances(pos[u], pos[v])) - np.cos(r[u]) * np.cos(r[v]),
+        nonedge_clearances=_pair_distances(pos[i], pos[j]) - (r[i] + r[j]))
 
 
 @dataclass
@@ -182,12 +157,12 @@ class RealizationResult:
     closed_realization: GeodesicRealization    # of the capped closed complex
     capping: Optional[CappingInfo]
     residual: float
-    margin: float                              # pi/2 - max corner angle (input faces)
+    acute: AcuteReport                         # corner angles of the input faces
     seed: int
 
     @property
-    def max_angle(self) -> float:
-        return math.pi / 2 - self.margin
+    def margin(self) -> float:
+        return self.acute.margin
 
 
 def glue_caps(tri: AbstractTriangulation) -> CappingInfo:
@@ -243,36 +218,65 @@ def glue_caps(tri: AbstractTriangulation) -> CappingInfo:
                        hub_vertices=tuple(hubs), added_vertices=tuple(added))
 
 
-def _pattern_validator(tri: AbstractTriangulation, problem_index, hubs):
+def _invariant_check(tri: AbstractTriangulation, hubs=()):
+    """The realization invariants of ``tri`` as one array routine.
+
+    The returned ``check(pos, r, angle_tol, area_tol)`` takes unit vertex
+    positions and radii (or None) as rows in ``tri.vertices`` order and
+    returns the first failure found as a message, or None.  It checks unit
+    positions; that non-adjacent disks are disjoint; nondegenerate,
+    consistently oriented faces; radii in (0, pi/2), zero at the ideal
+    ``hubs`` (which have degree four); angle sum 2 pi at every interior
+    vertex; and, when closed, total area 4 pi, taken as the angle excess.
+    """
     i, j = _nonedge_pairs(tri)
     # non-adjacent disks must be disjoint (cited for genuine nerve patterns;
     # verified post hoc, violations force a restart); the two disks opposite
-    # across an ideal hub are tangent at the hub point
-    near_hub = np.array([[v in tri.adjacency[h] for v in tri.vertices] for h in hubs],
-                        dtype=bool).reshape(len(hubs), len(tri.vertices))
-    slack = np.where((near_hub[:, i] & near_hub[:, j]).any(axis=0), -1e-9, 1e-9)
-    free = np.array([v not in hubs for v in tri.vertices])
+    # across an ideal hub are tangent at the hub point, and so are those
+    # opposite across a square boundary, where the capping puts a hub
+    rings = [tri.adjacency[h] for h in hubs] + [c for c in tri.boundary_cycles if len(c) == 4]
+    in_ring = np.array([[v in ring for v in tri.vertices] for ring in rings],
+                       dtype=bool).reshape(len(rings), len(tri.vertices))
+    slack = np.where((in_ring[:, i] & in_ring[:, j]).any(axis=0), -1e-9, 1e-9)
+    hub = np.array([v in hubs for v in tri.vertices])
     oriented = tri.oriented_faces()
-    faces = np.array([[problem_index[v] for v in f] for f in oriented])
+    index = {v: k for k, v in enumerate(tri.vertices)}
+    faces = np.array([[index[v] for v in f] for f in oriented])
+    corners = _corner_index_arrays(tri)
+    boundary = tri.boundary_vertices()
+    interior = np.array([v not in boundary for v in tri.vertices])
 
-    def validate(sol: PatternSolution):
-        pos, r = sol.positions, sol.radii
-        bad = np.flatnonzero(_pair_distances(pos, i, j) <= r[i] + r[j] + slack)
+    def check(pos, r=None, angle_tol=1e-8, area_tol=1e-6):
+        bad = np.flatnonzero(np.abs(np.linalg.norm(pos, axis=1) - 1.0) > POSITION_TOL)
         if bad.size:
-            u, v = tri.vertices[i[bad[0]]], tri.vertices[j[bad[0]]]
-            return f"non-adjacent disks {u}, {v} are not disjoint"
+            return f"position of {tri.vertices[bad[0]]} is not unit"
+        if r is not None:
+            bad = np.flatnonzero(_pair_distances(pos[i], pos[j]) <= r[i] + r[j] + slack)
+            if bad.size:
+                u, v = tri.vertices[i[bad[0]]], tri.vertices[j[bad[0]]]
+                return f"non-adjacent disks {u}, {v} are not disjoint"
         det = np.linalg.det(pos[faces])
         flat = np.abs(det) < 1e-12
         bad = np.flatnonzero(flat | ((det > 0) != (det[0] > 0)))
         if bad.size:
             return (f"degenerate face {oriented[bad[0]]}" if flat[bad[0]]
                     else "solution is not consistently oriented")
-        bad = np.flatnonzero(free & ~((0.0 < r) & (r < math.pi / 2)))
+        if r is not None:
+            bad = np.flatnonzero(~((hub & (r == 0.0)) | ((0.0 < r) & (r < math.pi / 2))))
+            if bad.size:
+                return f"radius of {tri.vertices[bad[0]]} outside (0, pi/2)"
+        angles = _all_corner_angles(pos, corners)
+        sums = np.bincount(corners[0], weights=angles, minlength=len(tri.vertices))
+        bad = np.flatnonzero(interior & (np.abs(sums - 2 * math.pi) > angle_tol))
         if bad.size:
-            return f"radius of {tri.vertices[bad[0]]} outside (0, pi/2)"
+            v, s = tri.vertices[bad[0]], float(sums[bad[0]])
+            return f"angle sum at interior vertex {v} is {s!r}"
+        total = float(angles.sum()) - len(tri.faces) * math.pi
+        if tri.is_closed and abs(total - 4 * math.pi) > area_tol:
+            return f"total area {total!r} differs from 4 pi"
         return None
 
-    return validate
+    return check
 
 
 def realize_sphere(tri: AbstractTriangulation, seed: int = 0, tol: float = 1e-11,
@@ -311,31 +315,30 @@ def realize_sphere(tri: AbstractTriangulation, seed: int = 0, tol: float = 1e-11
                 "apply, e.g. for the bare square wheel whose interior hub "
                 "forces a right angle", None)
 
-    index = {v: i for i, v in enumerate(closed.vertices)}
+    # the restricted realization needs no check of its own: it keeps the
+    # positions and radii, and every interior vertex keeps its faces
+    check = _invariant_check(closed, hubs)
     sol = solve_pattern(closed, fixed_zero=hubs, seed=seed, tol=tol,
                         max_starts=max_starts,
-                        validate=_pattern_validator(closed, index, hubs))
+                        validate=lambda s: check(s.positions, s.radii))
 
-    positions = {v: sol.positions[index[v]] for v in closed.vertices}
-    radii = {v: float(sol.radii[index[v]]) for v in closed.vertices}
-    closed_real = GeodesicRealization(closed, positions, radii).validate()
-
+    positions = dict(zip(closed.vertices, sol.positions))
+    radii = dict(zip(closed.vertices, sol.radii.tolist()))
+    closed_real = GeodesicRealization(closed, positions, radii)
     if capping is None:
         real = closed_real
     else:
-        keep = {v: positions[v] for v in tri.vertices}
-        keep_r = {v: radii[v] for v in tri.vertices}
-        real = GeodesicRealization(tri, keep, keep_r).validate()
+        real = GeodesicRealization(tri, {v: positions[v] for v in tri.vertices},
+                                   {v: radii[v] for v in tri.vertices})
 
-    max_angle = max(ang for _, _, ang in real.corner_angles())
-    margin = math.pi / 2 - max_angle
-    if margin <= 0:
+    acute = verify_acute(real)
+    if not acute.passed:
         raise SolveError(
-            f"pattern converged but a corner angle reached {max_angle!r}",
+            f"pattern converged but a corner angle reached {acute.max_angle!r}",
             best_residual=sol.residual)
     return RealizationResult(realization=real, closed_realization=closed_real,
                              capping=capping, residual=sol.residual,
-                             margin=margin, seed=seed)
+                             acute=acute, seed=seed)
 
 
 # -- verification reports ----------------------------------------------------
@@ -357,16 +360,11 @@ class AcuteReport:
 
 def verify_acute(real: GeodesicRealization) -> AcuteReport:
     """Per-face corner angles; passes iff the maximum is strictly below pi/2."""
-    worst = ((), "", -1.0)
-    min_angle = math.inf
-    for f, v, ang in real.corner_angles():
-        if ang > worst[2]:
-            worst = (f, v, ang)
-        min_angle = min(min_angle, ang)
-    max_angle = worst[2]
+    corners = real.corner_angles()
+    face, _, max_angle = max(corners, key=lambda c: c[2])
     return AcuteReport(passed=max_angle < math.pi / 2, max_angle=max_angle,
-                       min_angle=min_angle, margin=math.pi / 2 - max_angle,
-                       worst_face=tuple(worst[0]))
+                       min_angle=min(ang for _, _, ang in corners),
+                       margin=math.pi / 2 - max_angle, worst_face=tuple(face))
 
 
 @dataclass
@@ -380,23 +378,29 @@ class PerpendicularReport:
                 "edges_checked": self.edges_checked}
 
 
-def verify_coinciding_perpendiculars(real: GeodesicRealization, tol=1e-6) -> PerpendicularReport:
+def verify_coinciding_perpendiculars(real: GeodesicRealization) -> PerpendicularReport:
     """For each interior edge, the perpendicular feet dropped from the two
     opposite vertices must coincide.  Circle-pattern realizations satisfy
     this; generic acute realizations do not."""
-    worst = 0.0
-    checked = 0
+    index = {v: k for k, v in enumerate(real.parent.vertices)}
+    quads = []
     for e, fs in real.parent.edge_faces.items():
-        if len(fs) != 2:
-            continue
-        u, v = tuple(e)
-        w1 = next(x for x in fs[0] if x not in e)
-        w2 = next(x for x in fs[1] if x not in e)
-        f1 = perpendicular_foot(real.positions[w1], real.positions[u], real.positions[v])
-        f2 = perpendicular_foot(real.positions[w2], real.positions[u], real.positions[v])
-        worst = max(worst, spherical_distance(f1, f2))
-        checked += 1
-    return PerpendicularReport(passed=worst < tol, max_deviation=worst, edges_checked=checked)
+        if len(fs) == 2:
+            opposite = [next(x for x in f if x not in e) for f in fs]
+            quads.append([index[x] for x in (*e, *opposite)])
+    pos = real.position_array()
+    u, v, w1, w2 = np.array(quads, dtype=int).reshape(-1, 4).T
+    n = np.cross(pos[u], pos[v])
+    n /= np.linalg.norm(n, axis=1)[:, None]
+
+    def feet(w):
+        # foot of the perpendicular from w onto the great circle through u, v
+        proj = pos[w] - np.einsum("ij,ij->i", pos[w], n)[:, None] * n
+        return proj / np.linalg.norm(proj, axis=1)[:, None]
+
+    worst = float(_pair_distances(feet(w1), feet(w2)).max(initial=0.0))
+    return PerpendicularReport(passed=worst < PERPENDICULAR_TOL, max_deviation=worst,
+                               edges_checked=len(quads))
 
 
 # -- Euclidean projection ----------------------------------------------------
@@ -570,13 +574,12 @@ def _all_corner_angles(pos, corner_idx):
     return angles
 
 
-def _corner_index_arrays(faces_idx):
-    a, b, c = [], [], []
-    for (i, j, k) in faces_idx:
-        a += [i, j, k]
-        b += [j, k, i]
-        c += [k, i, j]
-    return np.array(a), np.array(b), np.array(c)
+def _corner_index_arrays(tri: AbstractTriangulation):
+    """Index arrays (vertex, next, previous) of the corners of ``tri``, face
+    by face, in the vertex order of each face."""
+    index = {v: k for k, v in enumerate(tri.vertices)}
+    f = np.array([[index[v] for v in face] for face in tri.faces], dtype=int).reshape(-1, 3)
+    return f.ravel(), f[:, [1, 2, 0]].ravel(), f[:, [2, 0, 1]].ravel()
 
 
 def _smoothed_max_angle(flat, corner_idx, sharpness):
@@ -600,8 +603,7 @@ def alpha_estimate(tri: AbstractTriangulation, seed: int = 0, starts: int = 3) -
     if not tri.is_closed:
         raise ValidationError("alpha_estimate expects a closed triangulation")
     index = {v: i for i, v in enumerate(tri.vertices)}
-    faces_idx = [tuple(index[v] for v in f) for f in tri.faces]
-    corner_idx = _corner_index_arrays(faces_idx)
+    corner_idx = _corner_index_arrays(tri)
     rng = np.random.default_rng(seed)
     fns = is_flag_no_square(tri)
 
@@ -635,7 +637,7 @@ def alpha_estimate(tri: AbstractTriangulation, seed: int = 0, starts: int = 3) -
             valid = True
         except ValidationError:
             valid = False
-        val = max(ang for _, _, ang in real.corner_angles())
+        val = float(_all_corner_angles(pos, corner_idx).max())
         per_start.append(val)
         if (valid, -val) > (best_valid, -best_val):
             best_val, best_pos, best_valid = val, pos, valid

@@ -5,6 +5,7 @@ import pytest
 
 from acutesphere import fixtures as fixture_registry
 from acutesphere.errors import ValidationError
+from acutesphere.klein import boost_to, lift
 from acutesphere.spherical import from_angles, from_sides
 from acutesphere.triangulation import diagonal_flip
 
@@ -45,6 +46,24 @@ def random_flips(tri, rng, count, keep=None):
         if keep is None or keep(flipped):
             tri = flipped
     return tri
+
+
+def cube_links(cube):
+    """Measured links of a slanted cube at O and O': for each, the dihedral
+    angles along its three edges and the face angles between them, ordered
+    as (angle(Y, Z), angle(Z, X), angle(X, Y)), i.e. the link triangle's
+    angles and opposite sides.  Each face angle is measured after boosting
+    the vertex to the origin, where the Klein model shows Euclidean angles."""
+    links = []
+    for base, ends in (("O", ("X", "Y", "Z")), ("O'", ("X'", "Y'", "Z'"))):
+        B = boost_to(-cube.vertices[base])
+        moved = [B @ lift(cube.vertices[w]) for w in (base, *ends)]
+        o, *t = (m[1:] / m[0] for m in moved)
+        t = [p - o for p in t]
+        sides = tuple(math.atan2(np.linalg.norm(np.cross(t[k - 2], t[k - 1])),
+                                 t[k - 2] @ t[k - 1]) for k in range(3))
+        links.append((tuple(cube.dihedrals[(base, w)] for w in ends), sides))
+    return tuple(links)
 
 
 @pytest.fixture

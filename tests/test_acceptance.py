@@ -23,7 +23,7 @@ from acutesphere.triangulation import (double, empty_three_cycles, four_cliques,
                                        itoh_face_predicate, separating_cycles,
                                        square_wheel)
 
-from conftest import random_acute_triangle
+from conftest import cube_links, random_acute_triangle
 
 # frozen from scripts/dodecahedron_volume_oracle.py before the build
 DODECAHEDRON_VOLUME = 4.306207600730809
@@ -86,9 +86,9 @@ def test_criterion_3_closed_form_duality_oracle():
         y = math.sqrt(cc * ca / cb)
         z = math.sqrt(ca * cb / cc)
         worst_param = max(worst_param, abs(w.x - x), abs(w.y - y), abs(w.z - z))
-        cube = build_slanted_cube(w)
-        for measured, expected in ((cube.link_at_O, (R.angles(), R.sides())),
-                                   (cube.link_at_opposite,
+        link_O, link_opposite = cube_links(build_slanted_cube(w))
+        for measured, expected in ((link_O, (R.angles(), R.sides())),
+                                   (link_opposite,
                                     (triangle_pqr(2, 2, 2).angles(),
                                      triangle_pqr(2, 2, 2).sides()))):
             for ms, es in zip(measured, expected):

@@ -13,7 +13,7 @@ from acutesphere.klein import (ORTHOSCHEMES, beta, boost_to, build_slanted_cube,
                                orthoscheme_volume, orthoschemes, volume)
 from acutesphere.spherical import CornerMap, from_angles, triangle_pqr
 
-from conftest import random_acute_triangle
+from conftest import cube_links, random_acute_triangle
 
 EQUILATERAL = from_angles(2 * math.pi / 5, 2 * math.pi / 5, 2 * math.pi / 5)
 
@@ -67,13 +67,20 @@ def test_build_cube_links_match(rng):
         for _ in range(10):
             R = random_acute_triangle(rng)
             w = solve_dual_22p(R, p)
-            cube = build_slanted_cube(w)
-            angles, sides = cube.link_at_O
+            (angles, sides), (t_angles, t_sides) = cube_links(build_slanted_cube(w))
             assert np.allclose(angles, R.angles(), atol=1e-8)
             assert np.allclose(sides, R.sides(), atol=1e-8)
-            t_angles, t_sides = cube.link_at_opposite
             assert np.allclose(t_angles, triangle_pqr(p, 2, 2).angles(), atol=1e-8)
             assert np.allclose(t_sides, triangle_pqr(p, 2, 2).sides(), atol=1e-8)
+
+
+def test_build_cube_with_corner_near_right_angle():
+    # O' lies within ~1e-6 of the ideal boundary here; its link sides,
+    # measured through the boost to O', are off by ~3e-7, while the
+    # dihedral angles that determine the link are right to 5e-13
+    R = from_angles(1.5707957076, 0.6101159052, 1.3488647153)
+    v = volume(build_slanted_cube(solve_dual_22p(R, 2)))
+    assert math.isfinite(v) and v > 0
 
 
 def test_general_dihedral_at_opposite_vertex(rng):

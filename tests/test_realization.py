@@ -1,18 +1,19 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from acutesphere import fixtures
 from acutesphere.errors import SolveError, ValidationError
-from acutesphere.pattern import (PatternProblem, PatternSolution, initial_radii,
+from acutesphere.pattern import (PatternProblem, initial_radii,
                                  levenberg_marquardt, solve_pattern, tutte_sphere_init)
 from acutesphere.realization import (CombinatorialRefusal, GeodesicRealization,
-                                     _pattern_validator, alpha_estimate, glue_caps,
-                                     is_subordinate, pattern_residuals, project_euclidean,
-                                     realize_sphere, verify_acute,
+                                     _invariant_check, _nonedge_pairs, alpha_estimate,
+                                     glue_caps, is_subordinate, pattern_residuals,
+                                     project_euclidean, realize_sphere, verify_acute,
                                      verify_coinciding_perpendiculars)
-from acutesphere.spherical import spherical_distance
+from acutesphere.spherical import corner_angle, perpendicular_foot, spherical_distance
 from acutesphere.triangulation import (EdgeLabeling, double, ideal_allright_conditions,
                                        is_flag_no_square, maehara_cap)
 
@@ -316,11 +317,14 @@ def test_solve_pattern_records_starts(load):
     assert degrees == sorted(degrees, reverse=True)
 
 
-# -- vectorised non-edge checks against the pair loop they replaced ---------
+# -- vectorised checks against the loops they replaced ----------------------
 
 
-def _brute_validator(tri, hubs, pos, r):
+def _brute_validator(tri, hubs, pos, r, angle_tol=1e-8, area_tol=1e-6):
     hubset = set(hubs)
+    for i, v in enumerate(tri.vertices):
+        if abs(float(np.linalg.norm(pos[i])) - 1.0) > 1e-12:
+            return f"position of {v} is not unit"
     for i, u in enumerate(tri.vertices):
         for j in range(i + 1, len(tri.vertices)):
             v = tri.vertices[j]
@@ -345,7 +349,43 @@ def _brute_validator(tri, hubs, pos, r):
     for i, v in enumerate(tri.vertices):
         if v not in hubset and not (0.0 < r[i] < math.pi / 2):
             return f"radius of {v} outside (0, pi/2)"
+    sums = dict.fromkeys(tri.vertices, 0.0)
+    for f, v, ang in _brute_corner_angles(tri, pos):
+        sums[v] += ang
+    for v, s in sums.items():
+        if abs(s - 2 * math.pi) > angle_tol:
+            return f"angle sum at interior vertex {v} is {s!r}"
+    total = sum(sums.values()) - len(tri.faces) * math.pi
+    if abs(total - 4 * math.pi) > area_tol:
+        return f"total area {total!r} differs from 4 pi"
     return None
+
+
+def _without_numbers(message):
+    # the angle-sum and area messages quote sums taken in another order
+    return message and re.sub(r"-?\d+\.\d+(e-?\d+)?", "#", message)
+
+
+def _brute_corner_angles(tri, pos):
+    index = {v: i for i, v in enumerate(tri.vertices)}
+    out = []
+    for f in tri.faces:
+        pts = [pos[index[v]] for v in f]
+        for k, v in enumerate(f):
+            out.append((f, v, corner_angle(pts[k], pts[(k + 1) % 3], pts[(k + 2) % 3])))
+    return out
+
+
+def _brute_perpendicular_deviation(tri, pos):
+    index = {v: i for i, v in enumerate(tri.vertices)}
+    worst = 0.0
+    for e, fs in tri.edge_faces.items():
+        if len(fs) == 2:
+            u, v = (pos[index[x]] for x in e)
+            w1, w2 = (pos[index[next(x for x in f if x not in e)]] for f in fs)
+            worst = max(worst, spherical_distance(perpendicular_foot(w1, u, v),
+                                                  perpendicular_foot(w2, u, v)))
+    return worst
 
 
 def _brute_clearances(tri, pos, r):
@@ -393,6 +433,9 @@ def _oracle_patterns(tri, hubs, rng):
     zero = r.copy()                      # a non-hub radius left (0, pi/2)
     zero[np.flatnonzero(~problem.fixed)[-1]] = 0.0
     yield pos, zero
+    off = pos.copy()                     # a position off the unit sphere
+    off[w] *= 1 + 1e-9
+    yield off, r
 
 
 def test_vectorised_pattern_checks_match_pair_loop():
@@ -400,26 +443,60 @@ def test_vectorised_pattern_checks_match_pair_loop():
     corpus = [(name, fixtures.load(name)) for name in fixtures.FIXTURE_NAMES]
     corpus += [(f"double_{n}", double(maehara_cap(n))) for n in (5, 8)]
     messages = set()
+    forced = set()
     for name, tri in corpus:
         hubs = ()
         if not tri.is_closed:
+            # the restricted realization is not checked by realize_sphere;
+            # it must pass the checks all the same
+            try:
+                res = realize_sphere(tri, seed=0)
+            except CombinatorialRefusal:
+                pass
+            else:
+                res.realization.validate()
+                res.closed_realization.validate()
             capping = glue_caps(tri)
             tri, hubs = capping.closed, capping.hub_vertices
         index = {v: k for k, v in enumerate(tri.vertices)}
-        validate = _pattern_validator(tri, index, hubs)
+        check = _invariant_check(tri, hubs)
         for pos, r in _oracle_patterns(tri, hubs, rng):
-            sol = PatternSolution(positions=pos, radii=r, residual=0.0, iterations=0,
-                                  pole=None, starts=0)
             expected = _brute_validator(tri, hubs, pos, r)
-            assert validate(sol) == expected, name
+            assert check(pos, r) == expected, name
             messages.add(expected.split()[0] if expected else None)
+            if expected is None:
+                # tolerances below zero force the angle-sum, then the area message
+                for tols in ((-1.0, 1e-6), (1.0, -1.0)):
+                    expected = _brute_validator(tri, hubs, pos, r, *tols)
+                    got = check(pos, r, *tols)
+                    assert _without_numbers(got) == _without_numbers(expected), name
+                    forced.add(expected.split()[0])
             real = GeodesicRealization(tri, {v: pos[index[v]] for v in tri.vertices},
                                        {v: float(r[index[v]]) for v in tri.vertices})
-            got = pattern_residuals(real).nonedge_clearances
+            corners, brute_corners = real.corner_angles(), _brute_corner_angles(tri, pos)
+            assert [c[:2] for c in corners] == [c[:2] for c in brute_corners]
+            angles, brute_angles = (np.array([c[2] for c in cs])
+                                    for cs in (corners, brute_corners))
+            # the two differ by the rounding of the arccos argument, which
+            # arccos magnifies by 1 / sin(angle) near 0 and pi
+            assert np.all(np.abs(angles - brute_angles) * np.sin(brute_angles) <= 1e-15), name
+            deviation = verify_coinciding_perpendiculars(real).max_deviation
+            assert abs(deviation - _brute_perpendicular_deviation(tri, pos)) <= 4e-15, name
+            residuals = pattern_residuals(real)
             brute = _brute_clearances(tri, pos, r)
-            assert list(got) == list(brute), name
-            assert max((abs(got[k] - brute[k]) for k in brute), default=0.0) <= 1e-15, name
-    assert messages == {None, "non-adjacent", "degenerate", "solution", "radius"}
+            i, j = _nonedge_pairs(tri)
+            pairs = [frozenset((tri.vertices[a], tri.vertices[b])) for a, b in zip(i, j)]
+            assert pairs == list(brute), name
+            assert np.max(np.abs(residuals.nonedge_clearances - list(brute.values())),
+                          initial=0.0) <= 1e-15, name
+            brute_edges = []
+            for e in tri.edges:
+                a, b = (index[x] for x in e)
+                brute_edges.append(math.cos(spherical_distance(pos[a], pos[b]))
+                                   - math.cos(r[a]) * math.cos(r[b]))
+            assert np.max(np.abs(residuals.edge_residuals - brute_edges)) <= 1e-15, name
+    assert messages == {None, "position", "non-adjacent", "degenerate", "solution", "radius"}
+    assert forced == {"angle", "total"}
 
 
 def test_pattern_validator_hub_tangency(load):
@@ -436,13 +513,19 @@ def test_pattern_validator_hub_tangency(load):
     i, j = index[a], index[b]
     gap = spherical_distance(sol.positions[i], sol.positions[j]) - sol.radii[i] - sol.radii[j]
     assert abs(gap) < 1e-12
-    validate = _pattern_validator(tri, index, hubs)
+    check = _invariant_check(tri, hubs)
     for clearance, ok in ((-0.5e-9, True), (-1.5e-9, False)):
         r = sol.radii.copy()
         r[i] += (gap - clearance) / 2
         r[j] += (gap - clearance) / 2
-        trial = PatternSolution(positions=sol.positions, radii=r, residual=0.0,
-                                iterations=0, pole=None, starts=0)
         expected = _brute_validator(tri, hubs, sol.positions, r)
-        assert validate(trial) == expected
+        assert check(sol.positions, r) == expected
         assert (expected is None) == ok, expected
+        # validate() takes the radius-zero vertex of degree four as the hub
+        real = GeodesicRealization(tri, dict(zip(tri.vertices, sol.positions)),
+                                   dict(zip(tri.vertices, r.tolist())))
+        if ok:
+            real.validate()
+        else:
+            with pytest.raises(ValidationError, match=expected):
+                real.validate()
