@@ -233,11 +233,12 @@ def cmd_invariants(args):
     if not tri.is_closed:
         print("input error: invariants require a closed triangulation", file=sys.stderr)
         return EXIT_INPUT
-    alpha = alpha_estimate(tri, seed=args.seed)
+    alpha = alpha_estimate(tri, seed=args.seed, tol=args.tol)
     metrics = {"alpha": alpha.value, "alpha_valid_realization": alpha.valid}
     notes = []
     try:
-        res = realize_sphere(tri, seed=args.seed, tol=args.tol)
+        # without a seeding realization, solve again for the refusal or SolveError
+        res = alpha.seeded_from or realize_sphere(tri, seed=args.seed, tol=args.tol)
         metrics["beta"] = beta(res.realization)
     except CombinatorialRefusal as exc:
         notes.append(f"beta refused: {exc}")

@@ -554,24 +554,38 @@ class AlphaEstimate:
     # recorded but nothing is asserted about the topology of the space of
     # acute realizations
     per_start: tuple = ()
+    # the circle-pattern realization that seeded the search; None when the
+    # input is not flag no-square or the pattern solve failed
+    seeded_from: Optional[RealizationResult] = None
 
     def to_json(self):
         return {"value": self.value, "starts": self.starts, "valid": self.valid,
                 "per_start": list(self.per_start)}
 
 
-def _all_corner_angles(pos, corner_idx):
-    """Vectorized corner angles; degenerate corners report pi."""
+def _corner_terms(pos, corner_idx):
+    """Corner angles at A of the corners (A, B, C) of unit positions, with the
+    dot products they come from: p = A.B, q = A.C, the tangent lengths
+    |B - pA| = sqrt(1 - p^2) and |C - qA| = sqrt(1 - q^2), the cosine
+    (s - pq) / (|B - pA| |C - qA|) with s = B.C, and the mask of
+    nondegenerate corners; degenerate corners report pi."""
     a, b, c = corner_idx
     A, B, C = pos[a], pos[b], pos[c]
-    tb = B - np.einsum("ij,ij->i", A, B)[:, None] * A
-    tc = C - np.einsum("ij,ij->i", A, C)[:, None] * A
+    p = np.einsum("ij,ij->i", A, B)
+    q = np.einsum("ij,ij->i", A, C)
+    tb = B - p[:, None] * A
+    tc = C - q[:, None] * A
     nb = np.linalg.norm(tb, axis=1)
     nc = np.linalg.norm(tc, axis=1)
     ok = (nb > 1e-9) & (nc > 1e-9)
     cosang = np.einsum("ij,ij->i", tb, tc) / np.where(ok, nb * nc, 1.0)
     angles = np.where(ok, np.arccos(np.clip(cosang, -1.0, 1.0)), math.pi)
-    return angles
+    return angles, p, q, nb, nc, cosang, ok
+
+
+def _all_corner_angles(pos, corner_idx):
+    """Vectorized corner angles; degenerate corners report pi."""
+    return _corner_terms(pos, corner_idx)[0]
 
 
 def _corner_index_arrays(tri: AbstractTriangulation):
@@ -583,22 +597,52 @@ def _corner_index_arrays(tri: AbstractTriangulation):
 
 
 def _smoothed_max_angle(flat, corner_idx, sharpness):
-    pos = flat.reshape(-1, 3)
-    norms = np.linalg.norm(pos, axis=1)
-    pos = pos / np.maximum(norms, 1e-12)[:, None]
-    angles = _all_corner_angles(pos, corner_idx)
+    """Log-sum-exp of all corner angles of the normalized positions, and its
+    exact gradient with respect to the flat, unnormalized positions.
+
+    The weights d value / d angle are softmax(sharpness * angles).  Each
+    angle is arccos((s - pq) / sqrt((1 - p^2)(1 - q^2))) in p = A.B, q = A.C,
+    s = B.C; its partials in p, q, s are scattered to A, B, C and pulled
+    back through x / |x| as (I - u u^T) / |x|.  Degenerate corners (reported
+    as pi, or straight: sin angle ~ 0) contribute nothing.
+    """
+    x = flat.reshape(-1, 3)
+    norms = np.maximum(np.linalg.norm(x, axis=1), 1e-12)
+    u = x / norms[:, None]
+    angles, p, q, nb, nc, cosang, ok = _corner_terms(u, corner_idx)
     m = float(angles.max())
-    return m + math.log(float(np.exp(sharpness * (angles - m)).sum())) / sharpness
+    e = np.exp(sharpness * (angles - m))
+    total = float(e.sum())
+    value = m + math.log(total) / sharpness
+
+    sin = np.sqrt(np.maximum(1.0 - cosang * cosang, 0.0))
+    live = ok & (sin > 1e-12)
+    nb, nc, sin = (np.where(live, t, 1.0) for t in (nb, nc, sin))
+    # d value / d cos of each corner: softmax weight times d arccos
+    k = np.where(live, -e / (total * sin), 0.0)
+    ds = k / (nb * nc)
+    dp = k * cosang * p / (nb * nb) - ds * q
+    dq = k * cosang * q / (nc * nc) - ds * p
+    a, b, c = corner_idx
+    A, B, C = u[a], u[b], u[c]
+    g = np.zeros_like(u)
+    np.add.at(g, a, dp[:, None] * B + dq[:, None] * C)
+    np.add.at(g, b, dp[:, None] * A + ds[:, None] * C)
+    np.add.at(g, c, dq[:, None] * A + ds[:, None] * B)
+    g -= np.einsum("ij,ij->i", g, u)[:, None] * u
+    return value, (g / norms[:, None]).ravel()
 
 
-def alpha_estimate(tri: AbstractTriangulation, seed: int = 0, starts: int = 3) -> AlphaEstimate:
+def alpha_estimate(tri: AbstractTriangulation, seed: int = 0, starts: int = 3,
+                   tol: float = 1e-11) -> AlphaEstimate:
     """Local minimax estimate of the smallest achievable maximum corner angle.
 
     Minimizes a smoothed maximum of all corner angles over vertex positions
     (multi-start, temperature schedule).  When the triangulation is flag
-    no-square the circle-pattern realization seeds the search.  The reported
-    value is the true maximum angle of the best configuration that passes
-    the realization validity checks.
+    no-square the circle-pattern realization (solved to ``tol``) seeds the
+    search and is returned with the estimate.  The reported value is the
+    true maximum angle of the best configuration that passes the
+    realization validity checks.
     """
     if not tri.is_closed:
         raise ValidationError("alpha_estimate expects a closed triangulation")
@@ -606,12 +650,14 @@ def alpha_estimate(tri: AbstractTriangulation, seed: int = 0, starts: int = 3) -
     corner_idx = _corner_index_arrays(tri)
     rng = np.random.default_rng(seed)
     fns = is_flag_no_square(tri)
+    check = _invariant_check(tri)
 
     inits = []
+    seeded_from = None
     if fns:
         try:
-            res = realize_sphere(tri, seed=seed)
-            inits.append(res.realization.position_array())
+            seeded_from = realize_sphere(tri, seed=seed, tol=tol)
+            inits.append(seeded_from.realization.position_array())
         except SolveError:
             pass
     for k in range(starts):
@@ -626,17 +672,12 @@ def alpha_estimate(tri: AbstractTriangulation, seed: int = 0, starts: int = 3) -
         flat = pos0.ravel().copy()
         for sharpness in (30.0, 120.0, 600.0):
             out = minimize(_smoothed_max_angle, flat, args=(corner_idx, sharpness),
-                           method="L-BFGS-B",
+                           jac=True, method="L-BFGS-B",
                            options={"maxiter": 300, "ftol": 1e-14, "gtol": 1e-10})
             flat = out.x
         pos = flat.reshape(-1, 3)
         pos = pos / np.linalg.norm(pos, axis=1)[:, None]
-        real = GeodesicRealization(tri, {v: pos[index[v]] for v in tri.vertices})
-        try:
-            real.validate(angle_tol=1e-6, area_tol=1e-4)
-            valid = True
-        except ValidationError:
-            valid = False
+        valid = check(pos, None, angle_tol=1e-6, area_tol=1e-4) is None
         val = float(_all_corner_angles(pos, corner_idx).max())
         per_start.append(val)
         if (valid, -val) > (best_valid, -best_val):
@@ -649,7 +690,7 @@ def alpha_estimate(tri: AbstractTriangulation, seed: int = 0, starts: int = 3) -
             "not flag no-square or failed validity")
     return AlphaEstimate(value=best_val, realization=real,
                          starts=len(inits), valid=best_valid,
-                         per_start=tuple(per_start))
+                         per_start=tuple(per_start), seeded_from=seeded_from)
 
 
 # -- subordinate check -------------------------------------------------------

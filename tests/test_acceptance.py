@@ -172,7 +172,8 @@ def test_criterion_7_beta_volume():
 
 def test_criterion_8_alpha_estimates():
     a_ico = alpha_estimate(fixtures.load("icosahedron"), seed=0)
-    assert 2 * math.pi / 5 - 1e-3 <= a_ico.value <= 2 * math.pi / 5 + 1e-3
+    assert abs(a_ico.value - 2 * math.pi / 5) <= 1e-9
+    assert a_ico.valid
     a_obs = alpha_estimate(fixtures.load("square_disk_a_double"), seed=0, starts=2)
     assert a_obs.value >= math.pi / 2
     _ok(8, f"alpha(icosahedron) = {a_ico.value:.6f}, "

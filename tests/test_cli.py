@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import acutesphere
-from acutesphere import fixtures
+from acutesphere import cli, fixtures, realization
 from acutesphere.cli import main
 from acutesphere.triangulation import (AbstractTriangulation, double,
                                        is_flag_no_separating_square, is_flag_no_square,
@@ -163,8 +163,26 @@ def test_invariants_icosahedron(capsys):
     code, report, err = run(capsys, [
         "invariants", fixture_file("icosahedron"), "--seed", "1"])
     assert code == 0
-    assert abs(report["metrics"]["alpha"] - 2 * math.pi / 5) < 1e-3
+    assert abs(report["metrics"]["alpha"] - 2 * math.pi / 5) <= 1e-9
+    assert report["metrics"]["alpha_valid_realization"]
     assert abs(report["metrics"]["beta"] - 4.306207600730809) < 1e-10
+
+
+def test_invariants_realizes_once(capsys, monkeypatch):
+    # alpha is seeded from the circle-pattern realization and beta reuses it
+    solve = realization.realize_sphere
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(realization, "realize_sphere", counted)
+    monkeypatch.setattr(cli, "realize_sphere", counted)
+    code, report, _ = run(capsys, ["invariants", fixture_file("icosahedron")])
+    assert code == 0
+    assert abs(report["metrics"]["beta"] - 4.306207600730809) < 1e-10
+    assert len(calls) == 1
 
 
 def test_invariants_beta_refused_when_obstructed(capsys):

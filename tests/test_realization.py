@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from acutesphere.errors import SolveError, ValidationError
 from acutesphere.pattern import (PatternProblem, initial_radii,
                                  levenberg_marquardt, solve_pattern, tutte_sphere_init)
 from acutesphere.realization import (CombinatorialRefusal, GeodesicRealization,
-                                     _invariant_check, _nonedge_pairs, alpha_estimate,
+                                     _corner_index_arrays, _invariant_check,
+                                     _nonedge_pairs, _smoothed_max_angle, alpha_estimate,
                                      glue_caps, is_subordinate, pattern_residuals,
                                      project_euclidean, realize_sphere, verify_acute,
                                      verify_coinciding_perpendiculars)
@@ -191,8 +193,64 @@ def test_glue_caps_structure(load):
 
 def test_alpha_icosahedron(load):
     a = alpha_estimate(load("icosahedron"), seed=0)
-    assert abs(a.value - 2 * math.pi / 5) < 1e-3
+    assert abs(a.value - 2 * math.pi / 5) <= 1e-9
     assert a.valid
+
+
+# alpha(sphere_28) reached by the same search with finite-difference
+# gradients; the exact gradient must do no worse
+SPHERE_28_FD_ALPHA = {0: 1.278204451541492, 1: 1.27820444792835,
+                      2: 1.2782044517781728, 3: 1.2782044546397813}
+
+
+def test_alpha_sphere_28_not_above_finite_difference_search(load):
+    tri = load("sphere_28")
+    for seed, reference in SPHERE_28_FD_ALPHA.items():
+        a = alpha_estimate(tri, seed=seed)
+        assert a.valid, seed
+        assert a.value <= reference, (seed, a.value, reference)
+
+
+def _smoothed_value(flat, corners, sharpness):
+    return _smoothed_max_angle(flat, corners, sharpness)[0]
+
+
+def test_smoothed_max_angle_gradient_matches_finite_differences(load):
+    rng = np.random.default_rng(5)
+    h = 1e-6
+    for name in ("icosahedron", "sphere_28", "square_disk_a_double", "tetrahedron"):
+        tri = load(name)
+        corners = _corner_index_arrays(tri)
+        pole = tri.vertices[int(rng.integers(len(tri.vertices)))]
+        pos = tutte_sphere_init(tri, pole, rng)
+        # off the sphere, so that the gradient passes through x / |x|
+        flat = (pos * rng.uniform(0.8, 1.25, size=(len(pos), 1))).ravel()
+        for sharpness in (30.0, 600.0):
+            _, grad = _smoothed_max_angle(flat, corners, sharpness)
+            fd = np.empty_like(flat)
+            for k in range(flat.size):
+                step = np.zeros_like(flat)
+                step[k] = h
+                fd[k] = (_smoothed_value(flat + step, corners, sharpness)
+                         - _smoothed_value(flat - step, corners, sharpness)) / (2 * h)
+            err = float(np.abs(fd - grad).max())
+            assert err <= 1e-6 * float(np.abs(grad).max()), (name, sharpness, err)
+
+    # two coincident vertices: the corners at them are degenerate, report pi
+    # and contribute nothing, so they take nearly all the softmax weight and
+    # leave a finite, tiny gradient; no warning is raised
+    tri = load("icosahedron")
+    corners = _corner_index_arrays(tri)
+    pos = tutte_sphere_init(tri, tri.vertices[0], rng)
+    u, v = (tri.vertices.index(w) for w in tri.faces[0][:2])
+    pos[v] = pos[u]
+    for sharpness in (30.0, 600.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, grad = _smoothed_max_angle(pos.ravel(), corners, sharpness)
+        assert value >= math.pi
+        assert np.isfinite(grad).all()
+        assert float(np.abs(grad).max()) <= 1e-6, sharpness
 
 
 def test_alpha_tetrahedron(load):
