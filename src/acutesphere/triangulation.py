@@ -9,6 +9,7 @@ immutable afterwards, so every operation in this module is a pure function.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -108,6 +109,8 @@ class AbstractTriangulation:
         self._check_links()
         self.boundary_cycles = self._trace_boundary()
         self._check_euler_and_connectivity()
+        # derived tables built on first use; see ``_cached``
+        self._memo: dict = {}
 
     # -- validation -----------------------------------------------------
 
@@ -349,15 +352,29 @@ def serialize(tri: AbstractTriangulation, labeling: Optional[EdgeLabeling] = Non
 # -- cycle enumeration --------------------------------------------------
 
 
-def triangles_of_graph(tri: AbstractTriangulation):
-    """All 3-cliques of the edge graph, as sorted tuples."""
+def _cached(tri: AbstractTriangulation, key, build):
+    """``build()`` computed once per triangulation; the triangulation is
+    immutable, so every later call returns the stored value."""
+    try:
+        return tri._memo[key]
+    except KeyError:
+        value = tri._memo[key] = build()
+        return value
+
+
+def _enumerate_triangles(tri: AbstractTriangulation):
     out = []
     for e in sorted(tri.edges, key=sorted):
         u, v = sorted(e)
         for w in sorted(tri.adjacency[u] & tri.adjacency[v]):
             if w > v:
                 out.append((u, v, w))
-    return out
+    return tuple(out)
+
+
+def triangles_of_graph(tri: AbstractTriangulation):
+    """All 3-cliques of the edge graph, as sorted tuples, in sorted order."""
+    return _cached(tri, "triangles", lambda: _enumerate_triangles(tri))
 
 
 def four_cliques(tri: AbstractTriangulation):
@@ -370,27 +387,39 @@ def four_cliques(tri: AbstractTriangulation):
     return out
 
 
+def _enumerate_four_cycles(tri: AbstractTriangulation):
+    """Neighbour-of-neighbour walk, O(sum of squared degrees).
+
+    For each vertex u, the 2-paths u - x - v with x, v > u are grouped by v;
+    two middles x < y give the cycle (u, x, v, y).  Every 4-cycle is met from
+    both of its diagonals; requiring u to be its smallest vertex keeps the
+    one diagonal that holds it, and makes (u, x, v, y) the canonical
+    rotation.
+    """
+    adj = tri.adjacency
+    out = []
+    for u in tri.vertices:
+        middles: dict = {}
+        for x in adj[u]:
+            if x > u:
+                for v in adj[x]:
+                    if v > u:
+                        middles.setdefault(v, []).append(x)
+        for v, xs in middles.items():
+            if len(xs) > 1:
+                xs.sort()
+                out.extend((u, x, v, y) for x, y in combinations(xs, 2))
+    out.sort()
+    return tuple(out)
+
+
 def four_cycles(tri: AbstractTriangulation):
     """All 4-cycles of the edge graph as tuples (u, x, v, y) in cyclic order.
 
-    Enumerates pairs {u, v} with two or more common neighbors; each cycle is
-    reported once, in canonical rotation.  Chords are allowed.
+    Each cycle is reported once, in canonical rotation, and the tuple is
+    sorted.  Chords are allowed.
     """
-    seen = set()
-    out = []
-    verts = sorted(tri.vertices)
-    for i, u in enumerate(verts):
-        for v in verts[i + 1:]:
-            common = sorted(tri.adjacency[u] & tri.adjacency[v])
-            if len(common) < 2:
-                continue
-            for x, y in combinations(common, 2):
-                key = frozenset((frozenset((u, v)), frozenset((x, y))))
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(canonical_cycle((u, x, v, y)))
-    return sorted(out)
+    return _cached(tri, "four_cycles", lambda: _enumerate_four_cycles(tri))
 
 
 def empty_three_cycles(tri: AbstractTriangulation):
@@ -403,39 +432,88 @@ def has_chord(tri: AbstractTriangulation, cycle4) -> bool:
     return tri.has_edge(u, v) or tri.has_edge(x, y)
 
 
-def cycle_sides(tri: AbstractTriangulation, cycle):
-    """Split the faces along an embedded cycle.
+def _face_graph(tri: AbstractTriangulation):
+    """Face adjacency over integer ids (positions in ``tri.faces``): a map
+    from each edge to its (id, incident face ids), and for each face the
+    (edge id, neighbouring face id) pairs across its interior edges."""
+    face_id = {_face(*f): i for i, f in enumerate(tri.faces)}
+    edges = {}
+    across = [[] for _ in tri.faces]
+    for k, (e, fs) in enumerate(tri.edge_faces.items()):
+        ids = tuple(face_id[g] for g in fs)
+        edges[e] = (k, ids)
+        if len(ids) == 2:
+            f, g = ids
+            across[f].append((k, g))
+            across[g].append((k, f))
+    return edges, tuple(map(tuple, across))
 
-    Removing the cycle's edges disconnects the dual (face-adjacency) graph
-    into regions; for a cycle in a sphere there are exactly two.  Returns a
-    list of (faces, interior_vertices) pairs.
+
+def _region_interiors(tri: AbstractTriangulation, cycle):
+    """Interior-vertex sets of the regions the cycle's edges cut the faces
+    into, nonempty ones only, as unordered sets.
+
+    One search starts from each face on a cycle edge.  The searches grow one
+    face each in turn; two that meet merge (the faces of one are relabelled
+    to the other), and one that runs out of faces has found a whole region.
+    Every region holds a face on a cycle edge, so once a single search is
+    left it is the last region: its interior is every vertex off the cycle
+    outside the finished regions.  The search visits about as many faces as
+    the smaller regions hold, not the whole surface; the last interior is
+    one set difference over the vertices.
     """
+    edges, across = _cached(tri, "face_graph", lambda: _face_graph(tri))
     n = len(cycle)
-    cut = {_edge(cycle[i], cycle[(i + 1) % n]) for i in range(n)}
-    for e in cut:
-        if e not in tri.edges:
+    cut = set()
+    seeds = set()
+    for i in range(n):
+        e = _edge(cycle[i], cycle[(i + 1) % n])
+        if e not in edges:
             raise ValidationError(f"not a cycle: missing edge {sorted(e)}")
-    unseen = set(tri.face_set)
-    sides = []
-    while unseen:
-        f0 = next(iter(unseen))
-        region = {f0}
-        unseen.discard(f0)
-        stack = [f0]
-        while stack:
-            f = stack.pop()
-            for u, v in combinations(tuple(f), 2):
-                e = _edge(u, v)
-                if e in cut:
-                    continue
-                for g in tri.edge_faces[e]:
-                    if g in unseen:
-                        unseen.discard(g)
-                        region.add(g)
-                        stack.append(g)
-        interior = sorted({v for f in region for v in f} - set(cycle))
-        sides.append((region, tuple(interior)))
-    return sides
+        k, fs = edges[e]
+        cut.add(k)
+        seeds.update(fs)
+    owner = {f: s for s, f in enumerate(seeds)}
+    frontier = [[f] for f in seeds]          # None once merged or finished
+    members = [[f] for f in seeds]
+    finished = []
+    turns = deque(range(len(seeds)))
+    live = len(seeds)
+    while live > 1:
+        s = turns.popleft()
+        stack = frontier[s]
+        if stack is None:
+            continue
+        if not stack:
+            frontier[s] = None
+            finished.append(s)
+            live -= 1
+            continue
+        turns.append(s)
+        for k, g in across[stack.pop()]:
+            if k in cut:
+                continue
+            t = owner.get(g)
+            if t is None:
+                owner[g] = s
+                stack.append(g)
+                members[s].append(g)
+            elif t != s:                     # the searches met: merge t into s
+                for f in members[t]:
+                    owner[f] = s
+                stack.extend(frontier[t])
+                members[s].extend(members[t])
+                frontier[t] = None
+                live -= 1
+    on_cycle = set(cycle)
+    faces = tri.faces
+    interiors = [{v for f in members[s] for v in faces[f]} - on_cycle for s in finished]
+    interiors.append(set(tri.vertices).difference(on_cycle, *interiors))
+    return [interior for interior in interiors if interior]
+
+
+def _sorted_interiors(interiors):
+    return tuple(sorted(tuple(sorted(interior)) for interior in interiors))
 
 
 # -- predicates ----------------------------------------------------------
@@ -457,11 +535,11 @@ def has_chordless_square(tri: AbstractTriangulation) -> Optional[CycleWitness]:
 
 
 def separating_interiors(tri: AbstractTriangulation, cycle):
-    """Interior-vertex sets of the regions cut out by a cycle, nonempty ones
-    only, in sorted order (``cycle_sides`` finds regions in set iteration
-    order, which depends on the string hash seed).  The cycle separates
-    exactly when two or more regions contain a vertex not on the cycle."""
-    return tuple(sorted(interior for _, interior in cycle_sides(tri, cycle) if interior))
+    """Interior-vertex sets of the regions cut out by a cycle (removing its
+    edges from the face-adjacency graph), nonempty ones only, each a sorted
+    tuple, in sorted order.  The cycle separates exactly when two or more
+    regions contain a vertex not on the cycle."""
+    return _sorted_interiors(_region_interiors(tri, cycle))
 
 
 def _bounds_faces(tri: AbstractTriangulation, cycle, boundary) -> bool:
@@ -494,9 +572,10 @@ def separating_cycles(tri: AbstractTriangulation):
         for c in cycles:
             if _bounds_faces(tri, c, boundary):
                 continue
-            comps = separating_interiors(tri, c)
-            if len(comps) >= 2:
-                out.append(CycleWitness(cycle=c, kind=kind, components=comps))
+            regions = _region_interiors(tri, c)
+            if len(regions) >= 2:
+                out.append(CycleWitness(cycle=c, kind=kind,
+                                        components=_sorted_interiors(regions)))
     return out
 
 
@@ -516,7 +595,7 @@ def is_flag_no_separating_square(tri: AbstractTriangulation) -> bool:
     for c in four_cycles(tri):
         if _bounds_faces(tri, c, boundary):
             continue
-        if len(separating_interiors(tri, c)) >= 2:
+        if len(_region_interiors(tri, c)) >= 2:
             return False
     return True
 
@@ -744,8 +823,7 @@ def ideal_allright_conditions(tri: AbstractTriangulation) -> bool:
     for c in four_cycles(tri):
         if has_chord(tri, c):
             continue
-        sides = cycle_sides(tri, c)
-        if not any(len(interior) == 1 for _, interior in sides):
+        if not any(len(interior) == 1 for interior in separating_interiors(tri, c)):
             return False
     deg4 = [v for v in tri.vertices if tri.degree(v) == 4]
     for u, v in combinations(deg4, 2):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -46,6 +47,42 @@ def random_flips(tri, rng, count, keep=None):
         if keep is None or keep(flipped):
             tri = flipped
     return tri
+
+
+def cycle_sides(tri, cycle):
+    """Flood-fill oracle for the region search: split the faces along an
+    embedded cycle.
+
+    Removing the cycle's edges disconnects the dual (face-adjacency) graph
+    into regions; for a cycle through interior vertices of a sphere there
+    are exactly two, at boundary vertices there may be more.  Returns a list
+    of (faces, interior_vertices) pairs, in no particular order.
+    """
+    n = len(cycle)
+    cut = {frozenset((cycle[i], cycle[(i + 1) % n])) for i in range(n)}
+    for e in cut:
+        if e not in tri.edges:
+            raise ValidationError(f"not a cycle: missing edge {sorted(e)}")
+    unseen = set(tri.face_set)
+    sides = []
+    while unseen:
+        f0 = next(iter(unseen))
+        region = {f0}
+        unseen.discard(f0)
+        stack = [f0]
+        while stack:
+            f = stack.pop()
+            for e in map(frozenset, itertools.combinations(tuple(f), 2)):
+                if e in cut:
+                    continue
+                for g in tri.edge_faces[e]:
+                    if g in unseen:
+                        unseen.discard(g)
+                        region.add(g)
+                        stack.append(g)
+        interior = sorted({v for f in region for v in f} - set(cycle))
+        sides.append((region, tuple(interior)))
+    return sides
 
 
 def cube_links(cube):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import acutesphere
-from acutesphere import cli, fixtures, realization
+from acutesphere import cli, fixtures, realization, triangulation
 from acutesphere.cli import main
 from acutesphere.triangulation import (AbstractTriangulation, double,
                                        is_flag_no_separating_square, is_flag_no_square,
@@ -47,17 +47,37 @@ def test_check_obstructed_double(capsys):
 
 def test_check_report_independent_of_hash_seed():
     # the region search walks sets of faces; the report must not depend on
-    # the order in which the string hash seed makes it find the regions
+    # the order in which the string hash seed makes it find the regions: on
+    # the octahedron, on a planar cap whose boundary cycles all get the
+    # region search, and on an obstructed double with separating witnesses
     src = str(Path(acutesphere.__file__).resolve().parents[1])
-    outputs = set()
-    for hash_seed in ("1", "2", "3"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-m", "acutesphere.cli", "check", fixture_file("octahedron")],
-            env=env, capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 1, proc.stderr
-        outputs.add(proc.stdout)
-    assert len(outputs) == 1
+    for name, code, hash_seeds in (("octahedron", 1, ("1", "2", "3")),
+                                   ("maehara_cap_8", 0, ("0", "5")),
+                                   ("square_disk_a_double", 1, ("0", "5"))):
+        outputs = set()
+        for hash_seed in hash_seeds:
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "acutesphere.cli", "check", fixture_file(name)],
+                env=env, capture_output=True, text=True, timeout=60)
+            assert proc.returncode == code, proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1, name
+
+
+def test_check_enumerates_cycles_once(capsys, monkeypatch):
+    # has_chordless_square, separating_cycles, ideal_allright_conditions and
+    # first_obstruction all read the cycles cached on the one triangulation
+    calls = []
+    for name in ("_enumerate_four_cycles", "_enumerate_triangles"):
+        def counted(tri, worker=getattr(triangulation, name), name=name):
+            calls.append(name)
+            return worker(tri)
+        monkeypatch.setattr(triangulation, name, counted)
+    for fixture in ("icosahedron", "square_disk_a_double", "maehara_cap_8"):
+        calls.clear()
+        run(capsys, ["check", fixture_file(fixture), "--labels"])
+        assert sorted(calls) == ["_enumerate_four_cycles", "_enumerate_triangles"], fixture
 
 
 def test_check_planar_verdict_matches_predicate(tmp_path, capsys):

@@ -258,6 +258,15 @@ def test_alpha_tetrahedron(load):
     assert a.value >= 2 * math.pi / 3 - 1e-9
 
 
+def test_alpha_octahedron_at_right_angle(load):
+    # alpha = pi/2 exactly; the search converges to within rounding of it,
+    # which must neither raise nor read as an acute maximum
+    tri = load("octahedron")
+    for seed in range(10):
+        a = alpha_estimate(tri, seed=seed)
+        assert a.value >= math.pi / 2 - 1e-12, seed
+
+
 def test_alpha_obs_double(load):
     a = alpha_estimate(load("square_disk_a_double"), seed=0, starts=2)
     assert a.value >= math.pi / 2

@@ -9,14 +9,14 @@ from acutesphere import fixtures
 from acutesphere.errors import ParseError, ValidationError
 from acutesphere.spherical import from_angles, polar_dual, tessellation_22p
 from acutesphere.triangulation import (
-    AbstractTriangulation, CycleWitness, EdgeLabeling, coxeter_face_finite,
-    coxeter_one_ended, cycle_sides, diagonal_flip, double, empty_3cycle_obstruction,
-    empty_three_cycles, first_obstruction, four_cliques, four_cycles,
-    has_chordless_square, ideal_allright_conditions, is_flag,
+    AbstractTriangulation, CycleWitness, EdgeLabeling, canonical_cycle,
+    coxeter_face_finite, coxeter_one_ended, diagonal_flip, double,
+    empty_3cycle_obstruction, empty_three_cycles, first_obstruction, four_cliques,
+    four_cycles, has_chord, has_chordless_square, ideal_allright_conditions, is_flag,
     is_flag_no_separating_square, is_flag_no_square, itoh_face_predicate,
-    maehara_cap, parse_document, separating_cycles, serialize, square_wheel,
-    triangles_of_graph)
-from conftest import random_flips
+    maehara_cap, parse_document, separating_cycles, separating_interiors, serialize,
+    square_wheel, triangles_of_graph)
+from conftest import cycle_sides, random_flips
 
 
 # -- independent brute-force oracles ----------------------------------------
@@ -57,6 +57,23 @@ def brute_four_cycles(tri):
     return canon
 
 
+def _pair_loop_four_cycles(tri):
+    """The O(V^2) enumeration: every vertex pair with two or more common
+    neighbours, each cycle reported once, in canonical rotation, sorted."""
+    seen = set()
+    out = []
+    verts = sorted(tri.vertices)
+    for i, u in enumerate(verts):
+        for v in verts[i + 1:]:
+            common = sorted(tri.adjacency[u] & tri.adjacency[v])
+            for x, y in itertools.combinations(common, 2):
+                key = frozenset((frozenset((u, v)), frozenset((x, y))))
+                if key not in seen:
+                    seen.add(key)
+                    out.append(canonical_cycle((u, x, v, y)))
+    return sorted(out)
+
+
 def _brute_separating_cycles(tri):
     """Region search on every 3-clique and every 4-cycle, no shortcut."""
     out = []
@@ -68,6 +85,17 @@ def _brute_separating_cycles(tri):
             if len(comps) >= 2:
                 out.append(CycleWitness(cycle=c, kind=kind, components=comps))
     return out
+
+
+def _brute_ideal_allright(tri):
+    """``ideal_allright_conditions`` with the flood fill for the regions."""
+    for c in four_cycles(tri):
+        if has_chord(tri, c):
+            continue
+        if not any(len(interior) == 1 for _, interior in cycle_sides(tri, c)):
+            return False
+    return not any(tri.has_edge(u, v) for u, v in itertools.combinations(
+        [v for v in tri.vertices if tri.degree(v) == 4], 2))
 
 
 def _punctured(tri, rng, holes):
@@ -94,8 +122,15 @@ def test_separating_cycles_match_region_search_oracle(load):
         hole = _punctured(rng.choice(flipped + small), rng, rng.randint(1, 3))
         if hole is not None:
             planar.append(hole)
+    # planar caps: every cycle through the boundary gets the region search
+    caps = [maehara_cap(n) for n in range(5, 21)]
+    while len(caps) < 30:
+        hole = _punctured(rng.choice(caps[:8]), rng, rng.randint(1, 3))
+        if hole is not None:
+            caps.append(hole)
     found = 0
-    for tri in corpus + flipped + planar:
+    allright_seen = set()
+    for tri in corpus + flipped + planar + caps:
         brute = _brute_separating_cycles(tri)
         assert separating_cycles(tri) == brute, tri
         found += len(brute)
@@ -109,7 +144,40 @@ def test_separating_cycles_match_region_search_oracle(load):
                       and not four_cliques(tri))
             assert (first_obstruction(tri) is None) == passes, tri
             assert is_flag_no_square(tri) == passes, tri
+            if is_flag(tri):
+                allright = _brute_ideal_allright(tri)
+                assert ideal_allright_conditions(tri) == allright, tri
+                allright_seen.add(allright)
     assert found > 100
+    assert allright_seen == {False, True}
+
+
+def test_four_cycles_match_pair_loop(load):
+    rng = random.Random(20261020)
+    corpus = [double(maehara_cap(n)) for n in range(5, 21)]
+    small = [load(name) for name in ("octahedron", "icosahedron", "sphere_28", "sphere_34")]
+    small.append(double(maehara_cap(5)))
+    corpus += [random_flips(base, rng, rng.randint(1, 12)) for base in small for _ in range(4)]
+    punctured = []
+    while len(punctured) < 20:
+        hole = _punctured(rng.choice(corpus), rng, rng.randint(1, 3))
+        if hole is not None:
+            punctured.append(hole)
+    for tri in corpus + punctured:
+        cycles = four_cycles(tri)
+        assert cycles == tuple(_pair_loop_four_cycles(tri)), tri
+        # enumerated once per triangulation; a tuple, so the cache is frozen
+        assert four_cycles(tri) is cycles
+        assert triangles_of_graph(tri) is triangles_of_graph(tri)
+
+
+def test_separating_interiors_rejects_non_cycle(load):
+    ico = load("icosahedron")
+    u = ico.vertices[0]
+    far = next(v for v in ico.vertices if v != u and not ico.has_edge(u, v))
+    x = min(ico.adjacency[u])
+    with pytest.raises(ValidationError, match="not a cycle"):
+        separating_interiors(ico, (u, x, far))
 
 
 def test_face_bounded_square_through_boundary_separates():
