@@ -30,11 +30,12 @@ DEFAULT_GRID_STEP = 1e-4
 
 
 def sigma(c: float, gamma: float, x, y):
-    """sigma_{c,gamma}(x, y); accepts scalars or numpy arrays in [0, 1]."""
+    """sigma_{c,gamma}(x, y), elementwise over scalars or numpy arrays (x, y
+    in [0, 1])."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
-    val = (math.cos(gamma) * np.sqrt(np.maximum(0.0, (1 - x * x) * (1 - y * y)))
-           - x * y + math.cos(c))
+    val = (np.cos(gamma) * np.sqrt(np.maximum(0.0, (1 - x * x) * (1 - y * y)))
+           - x * y + np.cos(c))
     return float(val) if val.ndim == 0 else val
 
 
@@ -188,6 +189,17 @@ def _system_residuals(R: SphericalTriangle, T: SphericalTriangle, x, y, z):
     return (sigma(R.a, T.A, y, z), sigma(R.b, T.B, z, x), sigma(R.c, T.C, x, y))
 
 
+def allright_feet(cos_a, cos_b, cos_c):
+    """Feet (x, y, z) of the cube dual to the all-right triangle, elementwise.
+
+    With every target angle pi/2 the three sigma equations read
+    x y = cos c, y z = cos a and z x = cos b, so x = sqrt(cos b cos c / cos a)
+    and cyclically.
+    """
+    return (np.sqrt(cos_b * cos_c / cos_a), np.sqrt(cos_c * cos_a / cos_b),
+            np.sqrt(cos_a * cos_b / cos_c))
+
+
 def slimmer_than_polar_dual_22p(R: SphericalTriangle, p: int) -> bool:
     """Exact criterion of the (2,2,p) duality solver: a, A < pi - pi/p and
     B, C, b, c < pi/2, with the p label on corner A."""
@@ -202,7 +214,8 @@ def solve_dual_22p(R: SphericalTriangle, p: int,
 
     ``corner_map`` sends R's corners to the target's; the target carries the
     label p at corner A.  Duality holds exactly when R is slimmer than the
-    polar dual of the (2,2,p) triangle; the solver reduces the system to one
+    polar dual of the (2,2,p) triangle.  For p = 2 the feet have a closed
+    form (``allright_feet``); otherwise the solver reduces the system to one
     bracketed root find in y (x y = cos c, z x = cos b).
     """
     if p < 2:
@@ -212,15 +225,18 @@ def solve_dual_22p(R: SphericalTriangle, p: int,
         return None
     target = triangle_pqr(p, 2, 2)
     cos_b, cos_c = math.cos(S.b), math.cos(S.c)
-    curve = SigmaCurve(S.a, math.pi / p)
+    if p == 2:
+        x0, y0, z0 = map(float, allright_feet(math.cos(S.a), cos_b, cos_c))
+    else:
+        curve = SigmaCurve(S.a, math.pi / p)
 
-    def g(yv):
-        return curve(yv, yv * cos_b / cos_c)
+        def g(yv):
+            return curve(yv, yv * cos_b / cos_c)
 
-    y_hi = min(1.0, cos_c / cos_b)
-    y0 = brentq(g, cos_c, y_hi, xtol=1e-15, rtol=8.9e-16)
-    x0 = cos_c / y0
-    z0 = y0 * cos_b / cos_c
+        y_hi = min(1.0, cos_c / cos_b)
+        y0 = brentq(g, cos_c, y_hi, xtol=1e-15, rtol=8.9e-16)
+        x0 = cos_c / y0
+        z0 = y0 * cos_b / cos_c
     res = _system_residuals(S, target, x0, y0, z0)
     return DualityWitness(x=x0, y=y0, z=z0, R=S, target=target,
                           corner_map=corner_map, residuals=res)

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy, zeta
 
-from .duality import DualityWitness, solve_dual_22p
+from .duality import SIGMA_RESIDUAL_TOL, DualityWitness, allright_feet, sigma
 from .errors import GeometryError, InternalInconsistency, ValidationError
-from .spherical import is_acute, place_triangle, triangle_from_points
+from .spherical import (ALL_RIGHT, ANGLE_EPS, RIGHT_ANGLE, place_triangle, require_rows,
+                        triangle_arrays)
 
 LINK_TOL = 1e-8
 
@@ -68,16 +69,6 @@ def mdot(P, Q):
 def hyperbolic_distance(p, q) -> float:
     c = -mdot(lift(p), lift(q))
     return math.acosh(max(1.0, c))
-
-
-def plane_normal(n, d):
-    """Unit spacelike Minkowski normal of the Klein plane {p . n = d},
-    oriented so the positive side is {p . n > d}."""
-    n = np.asarray(n, float)
-    s = float(n @ n) - d * d
-    if s <= 0.0:
-        raise GeometryError("plane does not meet the ball")
-    return np.concatenate(([d], n)) / math.sqrt(s)
 
 
 def boost_to(b):
@@ -128,83 +119,100 @@ class SlantedCubeModel:
         }
 
 
-def build_slanted_cube(witness: DualityWitness) -> SlantedCubeModel:
-    """Reconstruct the cube of a duality witness and verify it end to end.
+# the batched builder's vertex and half-space order; the model's dicts
+# follow it
+VERTICES = ("O", "X", "Y", "Z", "O'", "Z'", "X'", "Y'")
+HALF_SPACES = ("F_X", "F_Y", "F_Z", "F_XY", "F_YZ", "F_ZX")
+_EDGE_FACES = np.array([[HALF_SPACES.index(f) for f in faces] for faces in CUBE_EDGES.values()])
+_EDGES = tuple(CUBE_EDGES)
+_EQUATORIAL = [_EDGES.index(e) for e in (("X", "Z'"), ("X", "Y'"), ("Y", "Z'"),
+                                          ("Y", "X'"), ("Z", "Y'"), ("Z", "X'"))]
+_LINK_O = [_EDGES.index(("O", w)) for w in ("X", "Y", "Z")]
+_LINK_FAR = [_EDGES.index(("O'", w)) for w in ("X'", "Y'", "Z'")]
 
-    Places the feet X, Y, Z at Klein radii x, y, z along directions separated
-    by the angles of the link at O, intersects the perpendicular planes for
-    the remaining vertices, and checks convexity, the six automatic right
-    dihedral angles, and the angles of both links against the witness to
-    1e-8.  A spherical triangle is determined by its angles, so the link
-    sides need no check of their own.  (Measured by boosting a vertex to
-    the origin, they lose accuracy when the vertex lies within ~1e-6 of the
-    ideal boundary, as O' does for faces with a corner near pi/2: errors up
-    to ~3e-7 on cubes whose dihedral angles are right to 5e-13.)
+
+def slanted_cubes(U, feet, link, target, label=lambda k: f"face {k}"):
+    """Klein coordinates of F slanted cubes, built and verified in one pass.
+
+    ``U`` (F, 3, 3) holds the unit directions of the feet X, Y, Z from O,
+    ``feet`` (F, 3) their Klein radii x, y, z, ``link`` (F, 3) the angles of
+    the link at O at X, Y, Z, and ``target`` (F, 3) or (3,) the angles the
+    link at O' must have.  Places the feet, intersects the perpendicular
+    planes for the remaining vertices, and checks that every vertex lies in
+    the ball, convexity to 1e-9, the six automatic right dihedral angles,
+    and the angles of both links to LINK_TOL.  A spherical triangle is
+    determined by its angles, so the link sides need no check of their own.
+    (Measured by boosting a vertex to the origin, they lose accuracy when
+    the vertex lies within ~1e-6 of the ideal boundary, as O' does for faces
+    with a corner near pi/2: errors up to ~3e-7 on cubes whose dihedral
+    angles are right to 5e-13.)  Each failure names the first failing cube
+    through ``label``.
+
+    Returns the vertices (F, 8, 3) in VERTICES order, the outward
+    half-spaces p . n <= d as normals (F, 6, 3) and offsets (F, 6) in
+    HALF_SPACES order, and the dihedral angles (F, 12) in CUBE_EDGES order.
     """
-    R = witness.R
-    T = witness.target
-    uX, uY, uZ = place_triangle(R)
-    x, y, z = witness.x, witness.y, witness.z
+    U = np.asarray(U, float)
+    feet = np.asarray(feet, float)
+    V, W = U, np.roll(U, -1, axis=1)              # the pairs (X, Y), (Y, Z), (Z, X)
+    dv, dw = feet, np.roll(feet, -1, axis=1)
+    g = np.einsum("fki,fki->fk", V, W)
+    one = np.ones_like(g)
+    gram = np.stack([np.stack([one, g], axis=-1), np.stack([g, one], axis=-1)], axis=-2)
+    # the corner of the foot planes of each pair, inside the pair's span
+    ab = np.linalg.solve(gram, np.stack([dv, dw], axis=-1)[..., None])[..., 0]
+    verts = np.concatenate([
+        np.zeros((len(U), 1, 3)),
+        feet[..., None] * U,
+        np.linalg.solve(U, feet[..., None])[..., 0][:, None],
+        ab[..., :1] * V + ab[..., 1:] * W], axis=1)
 
-    pts = {"O": np.zeros(3), "X": x * uX, "Y": y * uY, "Z": z * uZ}
-    M = np.vstack([uX, uY, uZ])
-    pts["O'"] = np.linalg.solve(M, np.array([x, y, z]))
-
-    def corner(u1, d1, u2, d2):
-        # intersection of {p.u1 = d1}, {p.u2 = d2} inside span(u1, u2)
-        g = float(u1 @ u2)
-        gram = np.array([[1.0, g], [g, 1.0]])
-        ab = np.linalg.solve(gram, np.array([d1, d2]))
-        return ab[0] * u1 + ab[1] * u2
-
-    pts["Z'"] = corner(uX, x, uY, y)
-    pts["X'"] = corner(uY, y, uZ, z)
-    pts["Y'"] = corner(uZ, z, uX, x)
-
-    for name, p in pts.items():
-        if float(p @ p) >= 1.0:
-            raise GeometryError(
-                f"cube vertex {name} at Euclidean radius {math.sqrt(float(p @ p)):.6f} "
-                "outside the Klein ball; witness inconsistent")
+    radius2 = np.einsum("fvi,fvi->fv", verts, verts)
+    require_rows(radius2 < 1.0, GeometryError, label, lambda k: (
+        f"cube vertex {VERTICES[np.argmax(radius2[k])]} at Euclidean radius "
+        f"{math.sqrt(radius2[k].max()):.6f} outside the Klein ball; witness inconsistent"))
 
     # outward half-spaces: three foot planes and three coordinate planes at O
-    half = [(uX, x), (uY, y), (uZ, z)]
-    for ua, ub, uc in ((uX, uY, uZ), (uY, uZ, uX), (uZ, uX, uY)):
-        n = np.cross(ua, ub)
-        n = n / np.linalg.norm(n)
-        if float(n @ uc) > 0:
-            n = -n
-        half.append((n, 0.0))
-    for n, d in half:
-        worst = max(float(p @ n) - d for p in pts.values())
-        if worst > 1e-9:
-            raise GeometryError(f"cube is not convex: vertex violates a face plane by {worst:.3e}")
+    n = np.cross(V, W)
+    n /= np.linalg.norm(n, axis=-1, keepdims=True)
+    n *= np.where(np.einsum("fki,fki->fk", n, np.roll(U, -2, axis=1)) > 0, -1.0, 1.0)[..., None]
+    normals = np.concatenate([U, n], axis=1)
+    offsets = np.concatenate([feet, np.zeros_like(feet)], axis=1)
+    worst = (np.einsum("fvi,fhi->fvh", verts, normals) - offsets[:, None, :]).max(axis=(1, 2))
+    require_rows(worst <= 1e-9, GeometryError, label, lambda k: (
+        f"cube is not convex: vertex violates a face plane by {worst[k]:.3e}"))
 
-    normals = {
-        "F_X": plane_normal(uX, x), "F_Y": plane_normal(uY, y), "F_Z": plane_normal(uZ, z),
-        "F_XY": plane_normal(half[3][0], 0.0),
-        "F_YZ": plane_normal(half[4][0], 0.0),
-        "F_ZX": plane_normal(half[5][0], 0.0),
-    }
-    dihedrals = {}
-    for edge, (f1, f2) in CUBE_EDGES.items():
-        c = -mdot(normals[f1], normals[f2])
-        dihedrals[edge] = math.acos(min(1.0, max(-1.0, c)))
+    # unit spacelike Minkowski normals (d, n)/sqrt(|n|^2 - d^2); the ball
+    # check above keeps each foot, and so each foot plane, inside the ball
+    scale = np.sqrt(np.einsum("fhi,fhi->fh", normals, normals) - offsets * offsets)
+    lifted = np.concatenate([offsets[..., None], normals], axis=-1) / scale[..., None]
+    N1, N2 = lifted[:, _EDGE_FACES[:, 0]], lifted[:, _EDGE_FACES[:, 1]]
+    cos = N1[..., 0] * N2[..., 0] - np.einsum("fei,fei->fe", N1[..., 1:], N2[..., 1:])
+    dihedrals = np.arccos(np.clip(cos, -1.0, 1.0))
 
-    for edge in (("X", "Z'"), ("X", "Y'"), ("Y", "Z'"), ("Y", "X'"), ("Z", "Y'"), ("Z", "X'")):
-        if abs(dihedrals[edge] - math.pi / 2) > LINK_TOL:
-            raise InternalInconsistency(
-                f"equatorial dihedral at {edge} is {dihedrals[edge]!r}, expected pi/2")
+    off = np.abs(dihedrals[:, _EQUATORIAL] - math.pi / 2)
+    require_rows(off <= LINK_TOL, InternalInconsistency, label, lambda k: (
+        f"equatorial dihedral at {_EDGES[_EQUATORIAL[np.argmax(off[k])]]} is off pi/2 "
+        f"by {off[k].max():.3e}"))
+    for where, columns, expected in (("O", _LINK_O, link), ("O'", _LINK_FAR, target)):
+        err = np.abs(dihedrals[:, columns] - expected).max(axis=1)
+        require_rows(err <= LINK_TOL, InternalInconsistency, label, lambda k: (
+            f"reconstructed link at {where} deviates from the witness by {err[k]:.3e}"))
+    return verts, normals, offsets, dihedrals
 
-    for where, ends, expected in (("O", ("X", "Y", "Z"), R), ("O'", ("X'", "Y'", "Z'"), T)):
-        err = max(abs(dihedrals[(where, e)] - a) for e, a in zip(ends, expected.angles()))
-        if err > LINK_TOL:
-            raise InternalInconsistency(
-                f"reconstructed link at {where} deviates from the witness by {err:.3e}")
 
+def build_slanted_cube(witness: DualityWitness) -> SlantedCubeModel:
+    """Reconstruct the cube of a duality witness and verify it end to end:
+    ``slanted_cubes`` on a batch of one, the feet placed along the
+    directions of ``place_triangle(witness.R)``."""
+    R = witness.R
+    verts, normals, offsets, dihedrals = slanted_cubes(
+        np.array([place_triangle(R)]), [[witness.x, witness.y, witness.z]],
+        [R.angles()], witness.target.angles())
     return SlantedCubeModel(
-        vertices=pts, half_spaces=tuple((n.copy(), float(d)) for n, d in half),
-        witness=witness, dihedrals=dihedrals)
+        vertices=dict(zip(VERTICES, verts[0])),
+        half_spaces=tuple(zip(normals[0], offsets[0].tolist())),
+        witness=witness, dihedrals=dict(zip(_EDGES, dihedrals[0].tolist())))
 
 
 # -- exact volume ------------------------------------------------------------
@@ -272,15 +280,18 @@ def essential_angles(tetra):
     return tuple(np.arccos(np.clip(cos[..., k, k + 1], -1.0, 1.0)) for k in range(3))
 
 
+_ORTHOSCHEME_VERTICES = np.array([[VERTICES.index(w) for w in ("O", f, w2, "O'")]
+                                  for f, w2 in ORTHOSCHEMES])
+
+
 def orthoschemes(cube: SlantedCubeModel) -> np.ndarray:
     """Klein vertices (O, F, W', O') of the cube's six orthoschemes, (6, 4, 3).
 
     OF is perpendicular to the far face F_F by construction, and FW' to
     W'O' because the equatorial dihedral angles at W' are right (verified
-    by ``build_slanted_cube``), so each tetrahedron is an orthoscheme.
+    by ``slanted_cubes``), so each tetrahedron is an orthoscheme.
     """
-    v = cube.vertices
-    return np.array([[v["O"], v[f], v[w], v["O'"]] for f, w in ORTHOSCHEMES])
+    return np.array([cube.vertices[w] for w in VERTICES])[_ORTHOSCHEME_VERTICES]
 
 
 def volume(cube: SlantedCubeModel) -> float:
@@ -293,18 +304,33 @@ def beta(realization) -> float:
     """Sum over the faces of an acute geodesic triangulation of the volumes
     of the slanted cubes dual to the all-right triangle.
 
-    ``realization`` must provide ``parent.faces`` and unit-vector positions;
-    a non-acute face raises ValidationError.
+    ``realization`` must provide ``parent.faces`` and positions on the
+    sphere (normalised here).  One batched pass over all faces: each face's
+    corners are the directions of its cube's feet, the feet are in closed form (``allright_feet``), and
+    every check of the one-face path runs on the whole batch (the triangle's
+    own, acuteness, the slimmer criterion, the sigma residuals and the feet
+    of the witness, then the cube's).  A non-acute face raises
+    ValidationError.
     """
-    tetra = []
-    for face in realization.parent.faces:
-        pa, pb, pc = (realization.positions[v] for v in face)
-        R = triangle_from_points(pa, pb, pc)
-        if not is_acute(R):
-            raise ValidationError(
-                f"face {tuple(face)} is not acute (max angle {max(R.angles()):.6f})")
-        witness = solve_dual_22p(R, 2)
-        if witness is None:
-            raise ValidationError(f"face {tuple(face)} admits no all-right dual cube")
-        tetra.append(orthoschemes(build_slanted_cube(witness)))
-    return float(orthoscheme_volume(*essential_angles(np.concatenate(tetra))).sum())
+    faces = realization.parent.faces
+    U = np.array([[realization.positions[v] for v in face] for face in faces], float)
+    U /= np.linalg.norm(U, axis=-1, keepdims=True)
+
+    def label(k):
+        return f"face {k} {tuple(faces[k])}"
+
+    sides, angles = triangle_arrays(U, label)
+    require_rows(angles < RIGHT_ANGLE - ANGLE_EPS, ValidationError, label,
+                 lambda k: f"not acute (max angle {angles[k].max():.6f})")
+    require_rows((sides < RIGHT_ANGLE) & (angles < RIGHT_ANGLE), ValidationError, label,
+                 lambda k: "admits no all-right dual cube")
+    feet = np.stack(allright_feet(*np.cos(sides).T), axis=1)
+    right = ALL_RIGHT.angles()
+    # sigma_{a,A'}(y, z), sigma_{b,B'}(z, x), sigma_{c,C'}(x, y)
+    residuals = np.abs(sigma(sides, right, np.roll(feet, -1, axis=1), np.roll(feet, -2, axis=1)))
+    require_rows(residuals <= SIGMA_RESIDUAL_TOL, ValidationError, label,
+                 lambda k: f"sigma residuals {residuals[k].tolist()} exceed {SIGMA_RESIDUAL_TOL}")
+    require_rows((feet > 0.0) & (feet < 1.0), ValidationError, label,
+                 lambda k: f"foot parameters {feet[k].tolist()} not all in (0, 1)")
+    verts = slanted_cubes(U, feet, angles, right, label)[0]
+    return float(orthoscheme_volume(*essential_angles(verts[:, _ORTHOSCHEME_VERTICES])).sum())

@@ -48,8 +48,8 @@ class PatternProblem:
         self.tri = tri
         self.index = {v: i for i, v in enumerate(tri.vertices)}
         self.nv = len(tri.vertices)
-        self.edges = np.array(sorted((self.index[u], self.index[v])
-                                     for u, v in map(tuple, tri.edges)))
+        # each pair sorted, so no row depends on the set order of an edge
+        self.edges = np.array(sorted(sorted(self.index[v] for v in e) for e in tri.edges))
         self.fixed = np.zeros(self.nv, dtype=bool)
         for v in fixed_zero:
             self.fixed[self.index[v]] = True

@@ -258,6 +258,57 @@ def triangle_from_points(PA, PB, PC) -> SphericalTriangle:
     return from_sides(a, b, c)
 
 
+def require_rows(ok, exc, label, describe):
+    """Raise ``exc`` for the first row k of ``ok`` that is not all true.
+
+    ``ok`` holds one row per item of a batch (any trailing shape); the
+    message is ``label(k)`` followed by ``describe(k)``.  NaN compares
+    false, so it fails every check written in this form.
+    """
+    ok = np.asarray(ok)
+    ok = ok.all(axis=tuple(range(1, ok.ndim)))
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise exc(f"{label(k)}: {describe(k)}")
+
+
+def triangle_arrays(P, label=lambda k: f"triangle {k}"):
+    """Sides (a, b, c) and angles (A, B, C), each (F, 3), of the F spherical
+    triangles whose corners are the unit vectors P, (F, 3, 3).
+
+    The batched ``triangle_from_points``: the same formulas, and the checks
+    of ``from_sides`` (GeometryError, arccos guard band included) and of
+    ``SphericalTriangle`` (ValidationError) with the same tolerances, each
+    naming the first failing triangle through ``label``.
+    """
+    P = np.asarray(P, float)
+    Q, S = np.roll(P, -1, axis=1), np.roll(P, -2, axis=1)   # side k joins the other corners
+    sides = np.arctan2(np.linalg.norm(np.cross(Q, S), axis=-1), np.einsum("fki,fki->fk", Q, S))
+    other1, other2 = np.roll(sides, -1, axis=1), np.roll(sides, -2, axis=1)
+    require_rows((sides > 0.0) & (sides < math.pi), GeometryError, label,
+                 lambda k: f"sides {sides[k].tolist()} not all in (0, pi)")
+    require_rows(sides < other1 + other2, GeometryError, label,
+                 lambda k: f"triangle inequality fails for sides {sides[k].tolist()}")
+    require_rows(sides.sum(axis=1) < 2 * math.pi, GeometryError, label,
+                 lambda k: f"perimeter {sides[k].sum()!r} not below 2 pi")
+    cos, sin = np.cos(sides), np.sin(sides)
+    cos1, cos2 = np.roll(cos, -1, axis=1), np.roll(cos, -2, axis=1)
+    sin1, sin2 = np.roll(sin, -1, axis=1), np.roll(sin, -2, axis=1)
+    arg = (cos - cos1 * cos2) / (sin1 * sin2)
+    require_rows(np.abs(arg) <= 1.0 + CLAMP_EPS, GeometryError, label,
+                 lambda k: f"arccos argument {arg[k].tolist()} outside [-1, 1] beyond tolerance")
+    angles = np.arccos(np.clip(arg, -1.0, 1.0))
+    require_rows((angles > 0.0) & (angles < math.pi), ValidationError, label,
+                 lambda k: f"angles {angles[k].tolist()} not all in (0, pi)")
+    total = angles.sum(axis=1)
+    require_rows((total > math.pi) & (total < 3 * math.pi), ValidationError, label,
+                 lambda k: f"angle sum {total[k]!r} outside (pi, 3pi)")
+    residual = np.abs(cos - cos1 * cos2 - sin1 * sin2 * np.cos(angles)).max(axis=1)
+    require_rows(residual <= 1e-12, ValidationError, label,
+                 lambda k: f"law-of-cosines residual {residual[k]:.3e} exceeds 1e-12")
+    return sides, angles
+
+
 def corner_angle(P, Q, R_) -> float:
     """Angle at P between the great-circle arcs P->Q and P->R_."""
     P = np.asarray(P, float)

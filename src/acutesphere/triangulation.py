@@ -377,14 +377,19 @@ def triangles_of_graph(tri: AbstractTriangulation):
     return _cached(tri, "triangles", lambda: _enumerate_triangles(tri))
 
 
-def four_cliques(tri: AbstractTriangulation):
+def _enumerate_four_cliques(tri: AbstractTriangulation):
     out = []
     for u, v, w in triangles_of_graph(tri):
         common = tri.adjacency[u] & tri.adjacency[v] & tri.adjacency[w]
         for x in sorted(common):
             if x > w:
                 out.append((u, v, w, x))
-    return out
+    return tuple(out)
+
+
+def four_cliques(tri: AbstractTriangulation):
+    """All 4-cliques of the edge graph, as sorted tuples, in sorted order."""
+    return _cached(tri, "four_cliques", lambda: _enumerate_four_cliques(tri))
 
 
 def _enumerate_four_cycles(tri: AbstractTriangulation):

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from acutesphere import fixtures as fixture_registry
-from acutesphere.errors import ValidationError
-from acutesphere.klein import boost_to, lift
-from acutesphere.spherical import from_angles, from_sides
+from acutesphere.errors import GeometryError, InternalInconsistency, ValidationError
+from acutesphere.klein import CUBE_EDGES, LINK_TOL, SlantedCubeModel, boost_to, lift, mdot
+from acutesphere.spherical import from_angles, from_sides, place_triangle
 from acutesphere.triangulation import diagonal_flip
 
 
@@ -83,6 +83,86 @@ def cycle_sides(tri, cycle):
         interior = sorted({v for f in region for v in f} - set(cycle))
         sides.append((region, tuple(interior)))
     return sides
+
+
+def plane_normal(n, d):
+    """Unit spacelike Minkowski normal of the Klein plane {p . n = d},
+    oriented so the positive side is {p . n > d}."""
+    n = np.asarray(n, float)
+    s = float(n @ n) - d * d
+    if s <= 0.0:
+        raise GeometryError("plane does not meet the ball")
+    return np.concatenate(([d], n)) / math.sqrt(s)
+
+
+def reference_slanted_cube(witness):
+    """The one-cube builder that ``klein.slanted_cubes`` batched, kept as its
+    oracle: the feet along ``place_triangle(witness.R)``, each remaining
+    vertex from its own solve, and the same checks, one cube at a time."""
+    R = witness.R
+    T = witness.target
+    uX, uY, uZ = place_triangle(R)
+    x, y, z = witness.x, witness.y, witness.z
+
+    pts = {"O": np.zeros(3), "X": x * uX, "Y": y * uY, "Z": z * uZ}
+    M = np.vstack([uX, uY, uZ])
+    pts["O'"] = np.linalg.solve(M, np.array([x, y, z]))
+
+    def corner(u1, d1, u2, d2):
+        # intersection of {p.u1 = d1}, {p.u2 = d2} inside span(u1, u2)
+        g = float(u1 @ u2)
+        gram = np.array([[1.0, g], [g, 1.0]])
+        ab = np.linalg.solve(gram, np.array([d1, d2]))
+        return ab[0] * u1 + ab[1] * u2
+
+    pts["Z'"] = corner(uX, x, uY, y)
+    pts["X'"] = corner(uY, y, uZ, z)
+    pts["Y'"] = corner(uZ, z, uX, x)
+
+    for name, p in pts.items():
+        if float(p @ p) >= 1.0:
+            raise GeometryError(
+                f"cube vertex {name} at Euclidean radius {math.sqrt(float(p @ p)):.6f} "
+                "outside the Klein ball; witness inconsistent")
+
+    # outward half-spaces: three foot planes and three coordinate planes at O
+    half = [(uX, x), (uY, y), (uZ, z)]
+    for ua, ub, uc in ((uX, uY, uZ), (uY, uZ, uX), (uZ, uX, uY)):
+        n = np.cross(ua, ub)
+        n = n / np.linalg.norm(n)
+        if float(n @ uc) > 0:
+            n = -n
+        half.append((n, 0.0))
+    for n, d in half:
+        worst = max(float(p @ n) - d for p in pts.values())
+        if worst > 1e-9:
+            raise GeometryError(f"cube is not convex: vertex violates a face plane by {worst:.3e}")
+
+    normals = {
+        "F_X": plane_normal(uX, x), "F_Y": plane_normal(uY, y), "F_Z": plane_normal(uZ, z),
+        "F_XY": plane_normal(half[3][0], 0.0),
+        "F_YZ": plane_normal(half[4][0], 0.0),
+        "F_ZX": plane_normal(half[5][0], 0.0),
+    }
+    dihedrals = {}
+    for edge, (f1, f2) in CUBE_EDGES.items():
+        c = -mdot(normals[f1], normals[f2])
+        dihedrals[edge] = math.acos(min(1.0, max(-1.0, c)))
+
+    for edge in (("X", "Z'"), ("X", "Y'"), ("Y", "Z'"), ("Y", "X'"), ("Z", "Y'"), ("Z", "X'")):
+        if abs(dihedrals[edge] - math.pi / 2) > LINK_TOL:
+            raise InternalInconsistency(
+                f"equatorial dihedral at {edge} is {dihedrals[edge]!r}, expected pi/2")
+
+    for where, ends, expected in (("O", ("X", "Y", "Z"), R), ("O'", ("X'", "Y'", "Z'"), T)):
+        err = max(abs(dihedrals[(where, e)] - a) for e, a in zip(ends, expected.angles()))
+        if err > LINK_TOL:
+            raise InternalInconsistency(
+                f"reconstructed link at {where} deviates from the witness by {err:.3e}")
+
+    return SlantedCubeModel(
+        vertices=pts, half_spaces=tuple((n.copy(), float(d)) for n, d in half),
+        witness=witness, dihedrals=dihedrals)
 
 
 def cube_links(cube):

@@ -65,11 +65,28 @@ def test_check_report_independent_of_hash_seed():
         assert len(outputs) == 1, name
 
 
+def test_realize_positions_independent_of_hash_seed():
+    # the pattern problem orients each edge by vertex index, not by the set
+    # order of its two labels, so the solve is the same under every hash seed
+    src = str(Path(acutesphere.__file__).resolve().parents[1])
+    positions = set()
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "acutesphere.cli", "realize", fixture_file("sphere_28")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        positions.add(json.dumps(json.loads(proc.stdout)["realization"]["vertices"]))
+    assert len(positions) == 1
+
+
 def test_check_enumerates_cycles_once(capsys, monkeypatch):
     # has_chordless_square, separating_cycles, ideal_allright_conditions and
-    # first_obstruction all read the cycles cached on the one triangulation
+    # first_obstruction all read the cycles cached on the one triangulation,
+    # and both is_flag calls and cmd_check read its cached 4-cliques
     calls = []
-    for name in ("_enumerate_four_cycles", "_enumerate_triangles"):
+    names = ("_enumerate_four_cliques", "_enumerate_four_cycles", "_enumerate_triangles")
+    for name in names:
         def counted(tri, worker=getattr(triangulation, name), name=name):
             calls.append(name)
             return worker(tri)
@@ -77,7 +94,7 @@ def test_check_enumerates_cycles_once(capsys, monkeypatch):
     for fixture in ("icosahedron", "square_disk_a_double", "maehara_cap_8"):
         calls.clear()
         run(capsys, ["check", fixture_file(fixture), "--labels"])
-        assert sorted(calls) == ["_enumerate_four_cycles", "_enumerate_triangles"], fixture
+        assert sorted(calls) == list(names), fixture
 
 
 def test_check_planar_verdict_matches_predicate(tmp_path, capsys):

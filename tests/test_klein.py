@@ -1,19 +1,25 @@
 import importlib.util
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+from acutesphere import fixtures
 from acutesphere.duality import DualityWitness, solve_dual_22p, solve_dual_general
-from acutesphere.errors import ValidationError
-from acutesphere.klein import (ORTHOSCHEMES, beta, boost_to, build_slanted_cube,
-                               essential_angles, hyperbolic_distance, lobachevsky,
-                               orthoscheme_volume, orthoschemes, volume)
-from acutesphere.spherical import CornerMap, from_angles, triangle_pqr
+from acutesphere.errors import GeometryError, InternalInconsistency, ValidationError
+from acutesphere.klein import (CUBE_EDGES, ORTHOSCHEMES, VERTICES, beta, boost_to,
+                               build_slanted_cube, essential_angles, hyperbolic_distance,
+                               lobachevsky, orthoscheme_volume, orthoschemes, slanted_cubes,
+                               volume)
+from acutesphere.realization import realize_sphere
+from acutesphere.spherical import (CornerMap, from_angles, place_triangle, triangle_arrays,
+                                   triangle_from_points, triangle_pqr)
+from acutesphere.triangulation import double, maehara_cap
 
-from conftest import cube_links, random_acute_triangle
+from conftest import cube_links, random_acute_triangle, reference_slanted_cube
 
 EQUILATERAL = from_angles(2 * math.pi / 5, 2 * math.pi / 5, 2 * math.pi / 5)
 
@@ -243,3 +249,131 @@ def test_beta_rejects_non_acute():
     real = GeodesicRealization(octa, pos)
     with pytest.raises(ValidationError, match="not acute"):
         beta(real)
+
+
+def _batch(witnesses):
+    """``slanted_cubes`` arguments for witnesses, in the reference's frame."""
+    return (np.array([place_triangle(w.R) for w in witnesses]),
+            np.array([(w.x, w.y, w.z) for w in witnesses]),
+            np.array([w.R.angles() for w in witnesses]),
+            np.array([w.target.angles() for w in witnesses]))
+
+
+def test_batched_cubes_match_reference(rng):
+    # one batch of 240 cubes dual to (2,2,p) triangles, p = 2, 3, 5 mixed,
+    # against the one-cube oracle: same vertices, half-spaces and dihedrals.
+    # A foot plane at Klein radius d has Minkowski normal (d, n)/sqrt(1 - d^2),
+    # whose rounding grows like eps / (1 - d^2) in both builders: with a
+    # corner 0.006 below pi/2 (d = 0.99998634) they differ by 2.8e-12 at
+    # O'X', where an mpmath evaluation puts the oracle 6e-13 and the batch
+    # 2.2e-12 off
+    witnesses = [solve_dual_22p(random_acute_triangle(rng), (2, 3, 5)[k % 3])
+                 for k in range(240)]
+    verts, normals, offsets, dihedrals = slanted_cubes(*_batch(witnesses))
+    for k, w in enumerate(witnesses):
+        ref = reference_slanted_cube(w)
+        tol = 1e-12 + 4 * np.finfo(float).eps / (1 - max(w.x, w.y, w.z) ** 2)
+        assert np.abs(verts[k] - [ref.vertices[v] for v in VERTICES]).max() <= 1e-12, k
+        assert np.abs(dihedrals[k] - [ref.dihedrals[e] for e in CUBE_EDGES]).max() <= tol, k
+        assert np.abs(normals[k] - [n for n, _ in ref.half_spaces]).max() <= 1e-12, k
+        assert np.allclose(offsets[k], [d for _, d in ref.half_spaces], rtol=0, atol=1e-15)
+
+
+def test_build_slanted_cube_is_batch_of_one(rng):
+    for p in (2, 3, 5):
+        w = solve_dual_22p(random_acute_triangle(rng), p)
+        cube, ref = build_slanted_cube(w), reference_slanted_cube(w)
+        assert list(cube.vertices) == list(ref.vertices)
+        assert list(cube.dihedrals) == list(ref.dihedrals)
+        assert volume(cube) == pytest.approx(volume(ref), rel=1e-14)
+
+
+def test_triangle_arrays_match_one_face_path(rng):
+    P = rng.normal(size=(300, 3, 3))
+    P /= np.linalg.norm(P, axis=-1, keepdims=True)
+    sides, angles = triangle_arrays(P)
+    for k in range(len(P)):
+        R = triangle_from_points(*P[k])
+        assert np.abs(sides[k] - R.sides()).max() <= 1e-15
+        assert np.abs(angles[k] - R.angles()).max() <= 1e-13
+
+
+def test_triangle_arrays_checks_name_first_failing_triangle():
+    e = np.eye(3)
+    good = e[[0, 1, 2]]
+    with pytest.raises((GeometryError, ValidationError), match="triangle 2: "):
+        # three points on one great circle: the triangle inequality holds
+        # with equality, up to rounding, or the middle angle is pi
+        triangle_arrays([good, good, [e[0], e[1], -e[0] + 1e-3 * e[1]]])
+    with pytest.raises(GeometryError, match="triangle 1: sides"):
+        triangle_arrays([good, [e[0], e[0], e[1]]])
+
+
+@pytest.mark.parametrize("name", ["icosahedron", "sphere_28", "sphere_34", "double_5",
+                                  "double_8"])
+def test_beta_matches_reference_cube_volumes(name):
+    if name.startswith("double_"):
+        tri = double(maehara_cap(int(name.split("_")[1])))
+    else:
+        tri = fixtures.load(name)
+    real = realize_sphere(tri, seed=0).realization
+    reference = sum(
+        volume(reference_slanted_cube(solve_dual_22p(real.face_triangle(f), 2)))
+        for f in tri.faces)
+    assert beta(real) == pytest.approx(reference, rel=1e-13, abs=0)
+
+
+def test_slanted_cubes_checks_name_first_failing_cube(rng):
+    witnesses = [solve_dual_22p(random_acute_triangle(rng), 2) for _ in range(6)]
+    U, feet, link, target = _batch(witnesses)
+    slanted_cubes(U, feet, link, target)
+
+    # a target that is not the witness's: the link at O' is off
+    wrong = target.copy()
+    wrong[3, 2] = math.pi / 3
+    with pytest.raises(InternalInconsistency, match="face 3: reconstructed link at O' "):
+        slanted_cubes(U, feet, link, wrong)
+    with pytest.raises(InternalInconsistency, match="face 0: reconstructed link at O' "):
+        slanted_cubes(U, feet, link, (math.pi / 2, math.pi / 2, math.pi / 3))
+
+    # feet off the sigma curves: slightly, the link at O' moves; shrunk
+    # unevenly, the far vertex O' leaves the cone over the link at O
+    nudged = feet.copy()
+    nudged[4] *= 1.001
+    with pytest.raises(InternalInconsistency, match="face 4: reconstructed link at O' "):
+        slanted_cubes(U, nudged, link, target)
+    skewed = feet.copy()
+    skewed[2] *= (0.2, 0.2, 0.02)
+    with pytest.raises(GeometryError, match="face 2: cube is not convex"):
+        slanted_cubes(U, skewed, link, target)
+
+    # link angles that are not those of the directions
+    with pytest.raises(InternalInconsistency, match="face 5: reconstructed link at O "):
+        slanted_cubes(U, feet, link + (np.arange(6) == 5)[:, None] * 1e-6, target)
+
+    # feet at the ideal boundary put a vertex outside the ball
+    far = feet.copy()
+    far[1] = 0.999999
+    with pytest.raises(GeometryError, match="face 1: cube vertex .* outside the Klein ball"):
+        slanted_cubes(U, far, link, target)
+
+
+def test_beta_independent_of_position_scale(load):
+    real = realize_sphere(load("sphere_28"), seed=0).realization
+    scaled = type(real)(real.parent, {v: 1.001 * p for v, p in real.positions.items()})
+    assert beta(scaled) == pytest.approx(beta(real), rel=1e-15)
+
+
+def test_beta_checks_name_failing_face(load):
+    # pull one vertex of face 7 onto the arc through the other two: the
+    # message names, by index and vertices, a face around the moved vertex
+    real = realize_sphere(load("icosahedron"), seed=0).realization
+    positions = dict(real.positions)
+    faces = real.parent.faces
+    a, b, c = faces[7]
+    mid = positions[b] + positions[c]
+    positions[a] = mid / np.linalg.norm(mid)
+    with pytest.raises((GeometryError, ValidationError)) as info:
+        beta(type(real)(real.parent, positions))
+    k, named = re.match(r"face (\d+) (\(.*?\)): ", str(info.value)).groups()
+    assert named == str(tuple(faces[int(k)])) and a in faces[int(k)]
