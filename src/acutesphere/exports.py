@@ -6,7 +6,8 @@ import json
 
 import numpy as np
 
-from .realization import EuclideanRealization, GeodesicRealization
+from .realization import (VIEWPOINT_TOL, EuclideanRealization, GeodesicRealization,
+                          _euclidean_circles, _tangent_frame)
 from .triangulation import AbstractTriangulation
 
 
@@ -47,25 +48,17 @@ def _fit(points, width=800, height=800, pad=40):
     return f
 
 
-def _viewpoint_frame(real: GeodesicRealization):
-    """Projection viewpoint (the antipode of the first face's centroid, which
-    lies inside no disk of a valid pattern) plus a tangent frame."""
-    f0 = real.parent.faces[0]
-    centroid = sum(real.positions[v] for v in f0)
-    nu = -centroid / np.linalg.norm(centroid)
-    ref = np.array([1.0, 0.0, 0.0]) if abs(nu[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = ref - np.dot(ref, nu) * nu
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(nu, e1)
-    return nu, (e1, e2)
-
-
 def realization_svg(real: GeodesicRealization) -> str:
     """Stereographic picture of a spherical realization: the induced
-    triangulation plus the pattern circles when radii are available."""
-    from .realization import _euclidean_circle, _stereographic
+    triangulation plus the pattern circles when radii are available.
 
-    nu, frame = _viewpoint_frame(real)
+    The viewpoint is the antipode of the first face's centroid, which lies
+    inside no disk of a valid pattern.  Circles through or near it are left
+    out: those whose image is a line, and those drawn larger than three
+    times the picture."""
+    centroid = sum(real.positions[v] for v in real.parent.faces[0])
+    nu = -centroid / np.linalg.norm(centroid)
+    frame = _tangent_frame(nu)
     flat = {}
     for v, p in real.positions.items():
         denom = 1.0 - float(np.dot(p, nu))
@@ -76,15 +69,12 @@ def realization_svg(real: GeodesicRealization) -> str:
     span = max(abs(c) for p in flat.values() for c in p) + 1e-9
     parts = [_svg_header()]
     if real.radii is not None:
-        for v in real.parent.vertices:
-            r = real.radii[v]
-            if r <= 0.0:
-                continue
-            try:
-                c2, r2 = _euclidean_circle(real.positions[v], r, nu, frame)
-            except Exception:
-                continue
-            if r2 > 3 * span:   # circle almost through the viewpoint
+        disks = [v for v in real.parent.vertices if real.radii[v] > 0.0]
+        m = np.array([real.positions[v] for v in disks]).reshape(-1, 3)
+        rho = np.array([real.radii[v] for v in disks])
+        clear = np.abs(np.cos(rho) - m @ nu) >= VIEWPOINT_TOL
+        for c2, r2 in zip(*_euclidean_circles(m[clear], rho[clear], nu, frame)):
+            if r2 > 3 * span:
                 continue
             x, y = f(c2)
             parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{scale * r2:.2f}" '

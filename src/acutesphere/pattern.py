@@ -54,9 +54,22 @@ class PatternProblem:
         for v in fixed_zero:
             self.fixed[self.index[v]] = True
         self.free_r = np.nonzero(~self.fixed)[0]
-        self.r_col = {int(v): 3 * self.nv + k for k, v in enumerate(self.free_r)}
+        self.r_col = np.full(self.nv, -1)
+        self.r_col[self.free_r] = 3 * self.nv + np.arange(len(self.free_r))
         self.nvar = 3 * self.nv + len(self.free_r)
         self.nres = len(self.edges) + self.nv
+        # Jacobian entries that theta fills: (row, column) of each edge row's
+        # two position blocks and each unit-norm row's block, then of each
+        # edge row's radius columns at its free ends
+        eu, ev = self.edges.T
+        xyz = np.arange(3)
+        edge_rows = np.arange(len(self.edges))
+        self._pos_rows = np.concatenate([edge_rows, edge_rows,
+                                         len(self.edges) + np.arange(self.nv)])[:, None]
+        self._pos_cols = 3 * np.concatenate([ev, eu, np.arange(self.nv)])[:, None] + xyz
+        self._u_free, self._v_free = edge_rows[~self.fixed[eu]], edge_rows[~self.fixed[ev]]
+        self._r_rows = np.concatenate([self._u_free, self._v_free])
+        self._r_cols = self.r_col[np.concatenate([eu[self._u_free], ev[self._v_free]])]
 
     def unpack(self, theta):
         pos = theta[:3 * self.nv].reshape(self.nv, 3)
@@ -76,16 +89,12 @@ class PatternProblem:
 
     def jacobian(self, theta):
         pos, r = self.unpack(theta)
+        sin, cos = np.sin(r), np.cos(r)
+        eu, ev = self.edges.T
         J = np.zeros((self.nres, self.nvar))
-        for i, (u, v) in enumerate(self.edges):
-            J[i, 3 * u:3 * u + 3] = pos[v]
-            J[i, 3 * v:3 * v + 3] = pos[u]
-            if not self.fixed[u]:
-                J[i, self.r_col[int(u)]] = math.sin(r[u]) * math.cos(r[v])
-            if not self.fixed[v]:
-                J[i, self.r_col[int(v)]] = math.cos(r[u]) * math.sin(r[v])
-        for v in range(self.nv):
-            J[len(self.edges) + v, 3 * v:3 * v + 3] = 2.0 * pos[v]
+        J[self._pos_rows, self._pos_cols] = np.concatenate([pos[eu], pos[ev], 2.0 * pos])
+        J[self._r_rows, self._r_cols] = np.concatenate([(sin[eu] * cos[ev])[self._u_free],
+                                                        (cos[eu] * sin[ev])[self._v_free]])
         return J
 
 
@@ -189,14 +198,12 @@ def tutte_sphere_init(tri: AbstractTriangulation, pole_vertex, rng) -> np.ndarra
 
 
 def initial_radii(problem: PatternProblem, pos: np.ndarray) -> np.ndarray:
-    acc = np.zeros(problem.nv)
-    cnt = np.zeros(problem.nv)
-    for u, v in problem.edges:
-        d = math.acos(float(np.clip(pos[u] @ pos[v], -1.0, 1.0)))
-        acc[u] += d
-        acc[v] += d
-        cnt[u] += 1
-        cnt[v] += 1
+    eu, ev = problem.edges.T
+    d = [math.acos(c) for c in np.clip(np.vecdot(pos[eu], pos[ev]), -1.0, 1.0)]
+    # bincount adds in input order, so each vertex sums its edges as a loop would
+    ends = problem.edges.ravel()
+    acc = np.bincount(ends, np.repeat(d, 2), minlength=problem.nv)
+    cnt = np.bincount(ends, minlength=problem.nv)
     mean = acc / np.maximum(cnt, 1)
     r = np.arccos(np.sqrt(np.clip(np.cos(mean), 0.05, 1.0)))
     r = np.clip(r, 0.05, 1.4)
@@ -208,24 +215,35 @@ def initial_radii(problem: PatternProblem, pos: np.ndarray) -> np.ndarray:
 
 
 def _transport_pattern(B, pos, radii, fixed):
-    """Move a whole pattern by the Minkowski transformation B: disks via
-    their plane normals, ideal vertices as points.  The orthogonality
-    relations are Moebius-invariant, so residuals survive up to roundoff."""
-    new_pos = pos.copy()
+    """Move a whole pattern by the Minkowski transformation B.
+
+    One array pass: a disk (x, r) is its spacelike plane normal
+    (cos r, x) / sin r, an ideal vertex (fixed, or radius 0) the lightlike
+    point (1, x).  After B a disk is read back as x = n[1:] / |n[1:]| and
+    r = atan2(1, n[0]), an ideal vertex as x = n[1:] / n[0].  The
+    orthogonality relations are Moebius-invariant, so residuals survive up
+    to roundoff.  A disk whose image covers a hemisphere or more (n[0] <= 0)
+    raises SolveError.
+
+    Each step rounds as the per-vertex ``B @ v`` would, so the transported
+    pattern does not depend on the batching: einsum's row products,
+    sqrt(vecdot) for the norms and math.atan2 per disk.
+    """
+    ideal = fixed | (radii <= 0.0)
+    disk = ~ideal
+    normals = np.column_stack([np.cos(radii), pos])
+    normals[ideal, 0] = 1.0
+    normals[disk] /= np.sin(radii[disk])[:, None]
+    out = np.einsum("ij,nj->ni", B, normals)
+    n0, nvec = out[disk, 0], out[disk, 1:]
+    nn = np.sqrt(np.vecdot(nvec, nvec))
+    if np.any((n0 <= 0.0) | (nn <= 0.0)):
+        raise SolveError("normalization pushed a disk past a hemisphere")
+    new_pos = out[:, 1:].copy()
+    new_pos[ideal] /= out[ideal, :1]
+    new_pos[disk] = nvec / nn[:, None]
     new_r = radii.copy()
-    for i in range(len(pos)):
-        if fixed[i] or radii[i] <= 0.0:
-            out = B @ np.concatenate([[1.0], pos[i]])
-            new_pos[i] = out[1:] / out[0]
-        else:
-            normal = np.concatenate([[math.cos(radii[i])], pos[i]]) / math.sin(radii[i])
-            out = B @ normal
-            n0, nvec = out[0], out[1:]
-            nn = np.linalg.norm(nvec)
-            if n0 <= 0.0 or nn <= 0.0:
-                raise SolveError("normalization pushed a disk past a hemisphere")
-            new_pos[i] = nvec / nn
-            new_r[i] = math.atan2(1.0, float(n0))
+    new_r[disk] = [math.atan2(1.0, x) for x in n0]
     new_pos /= np.linalg.norm(new_pos, axis=1)[:, None]
     return new_pos, new_r
 

@@ -34,6 +34,7 @@ from .triangulation import (AbstractTriangulation, CycleWitness, EdgeLabeling,
 
 POSITION_TOL = 1e-12       # |norm - 1| of a vertex position
 PERPENDICULAR_TOL = 1e-6   # distance between the two perpendicular feet of an edge
+VIEWPOINT_TOL = 1e-12      # |cos rho - m.nu| of a circle through the projection viewpoint
 
 
 class CombinatorialRefusal(AcuteSphereError):
@@ -457,40 +458,33 @@ class EuclideanRealization:
                 "faces": [list(f) for f in self.parent.faces]}
 
 
-def _euclidean_circle(center, rho, viewpoint, frame):
-    """Image of the spherical circle (center, rho) under stereographic
-    projection from ``viewpoint``, as planar (center, radius).
+def _tangent_frame(nu):
+    """Orthonormal frame (e1, e2) of the plane perpendicular to the unit
+    vector ``nu``, the image plane of stereographic projection from ``nu``."""
+    ref = np.array([1.0, 0.0, 0.0]) if abs(nu[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    e1 = ref - np.dot(ref, nu) * nu
+    e1 /= np.linalg.norm(e1)
+    return e1, np.cross(nu, e1)
 
-    Three points on the circle are projected and circumscribed; exact for
-    circles because stereographic projection maps circles to circles.
+
+def _euclidean_circles(centers, rho, viewpoint, frame):
+    """Images of the spherical circles (centers[i], rho[i]) under
+    stereographic projection from ``viewpoint`` onto the plane of ``frame``,
+    as planar centres (k, 2) and radii (k,).
+
+    Closed form: the plane point y is the image of
+    p = (2y + (|y|^2 - 1) nu) / (|y|^2 + 1), and p.m = cos(rho) reads
+    |y - m'/D|^2 = sin(rho)^2 / D^2 with D = cos(rho) - m.nu and m' the part
+    of m in the plane.  A circle through the viewpoint
+    (|D| < VIEWPOINT_TOL) has a line for its image and raises
+    ValidationError.
     """
+    m = np.asarray(centers, float).reshape(-1, 3)
+    denom = np.cos(rho) - m @ viewpoint
+    if np.any(np.abs(denom) < VIEWPOINT_TOL):
+        raise ValidationError("a circle passes through the stereographic viewpoint")
     e1, e2 = frame
-    m = np.asarray(center, float)
-    t1 = e1 - np.dot(e1, m) * m
-    if np.linalg.norm(t1) < 1e-9:
-        t1 = e2 - np.dot(e2, m) * m
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(m, t1)
-    pts2d = []
-    for theta in (0.0, 2 * math.pi / 3, 4 * math.pi / 3):
-        p = math.cos(rho) * m + math.sin(rho) * (math.cos(theta) * t1 + math.sin(theta) * t2)
-        pts2d.append(_stereographic(p, viewpoint, frame))
-    (x1, y1), (x2, y2), (x3, y3) = pts2d
-    a = np.array([[2 * (x2 - x1), 2 * (y2 - y1)], [2 * (x3 - x1), 2 * (y3 - y1)]])
-    b = np.array([x2 ** 2 - x1 ** 2 + y2 ** 2 - y1 ** 2,
-                  x3 ** 2 - x1 ** 2 + y3 ** 2 - y1 ** 2])
-    cx, cy = np.linalg.solve(a, b)
-    r = math.hypot(x1 - cx, y1 - cy)
-    return np.array([cx, cy]), r
-
-
-def _stereographic(p, viewpoint, frame):
-    e1, e2 = frame
-    denom = 1.0 - float(np.dot(p, viewpoint))
-    if denom < 1e-12:
-        raise ValidationError("stereographic projection hit the viewpoint")
-    q = (p - float(np.dot(p, viewpoint)) * viewpoint) / denom
-    return np.array([float(np.dot(q, e1)), float(np.dot(q, e2))])
+    return np.column_stack([m @ e1, m @ e2]) / denom[:, None], np.sin(rho) / np.abs(denom)
 
 
 def project_euclidean(result: RealizationResult,
@@ -523,22 +517,14 @@ def project_euclidean(result: RealizationResult,
         if d <= r_nu + closed.radii[v] + 1e-9:
             raise ValidationError(f"viewpoint disk intersects the disk of {v}")
 
-    ref = np.array([1.0, 0.0, 0.0]) if abs(nu[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = ref - np.dot(ref, nu) * nu
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(nu, e1)
-    frame = (e1, e2)
-
-    centers = {}
-    radii = {}
-    for v in original.vertices:
-        c, r = _euclidean_circle(closed.positions[v], closed.radii[v], nu, frame)
-        centers[v] = c
-        radii[v] = r
-    scale = math.sqrt(np.mean([r * r for r in radii.values()]))
-    centers = {v: c / scale for v, c in centers.items()}
-    radii = {v: r / scale for v, r in radii.items()}
-    return EuclideanRealization(parent=original, centers=centers, radii=radii)
+    centers, radii = _euclidean_circles(
+        [closed.positions[v] for v in original.vertices],
+        np.array([closed.radii[v] for v in original.vertices]), nu, _tangent_frame(nu))
+    scale = math.sqrt(np.mean(radii * radii))
+    return EuclideanRealization(
+        parent=original,
+        centers={v: c / scale for v, c in zip(original.vertices, centers)},
+        radii={v: float(r / scale) for v, r in zip(original.vertices, radii)})
 
 
 # -- alpha invariant ---------------------------------------------------------

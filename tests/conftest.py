@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from acutesphere import fixtures as fixture_registry
-from acutesphere.errors import GeometryError, InternalInconsistency, ValidationError
+from acutesphere.errors import (GeometryError, InternalInconsistency, SolveError,
+                               ValidationError)
 from acutesphere.klein import CUBE_EDGES, LINK_TOL, SlantedCubeModel, boost_to, lift, mdot
 from acutesphere.spherical import from_angles, from_sides, place_triangle
 from acutesphere.triangulation import diagonal_flip
@@ -181,6 +182,94 @@ def cube_links(cube):
                                  t[k - 2] @ t[k - 1]) for k in range(3))
         links.append((tuple(cube.dihedrals[(base, w)] for w in ends), sides))
     return tuple(links)
+
+
+def reference_transport_pattern(B, pos, radii, fixed):
+    """The per-vertex loop that ``pattern._transport_pattern`` batched, kept
+    as its oracle: one ``B @ v`` per disk normal or ideal point."""
+    new_pos = pos.copy()
+    new_r = radii.copy()
+    for i in range(len(pos)):
+        if fixed[i] or radii[i] <= 0.0:
+            out = B @ np.concatenate([[1.0], pos[i]])
+            new_pos[i] = out[1:] / out[0]
+        else:
+            normal = np.concatenate([[math.cos(radii[i])], pos[i]]) / math.sin(radii[i])
+            out = B @ normal
+            n0, nvec = out[0], out[1:]
+            nn = np.linalg.norm(nvec)
+            if n0 <= 0.0 or nn <= 0.0:
+                raise SolveError("normalization pushed a disk past a hemisphere")
+            new_pos[i] = nvec / nn
+            new_r[i] = math.atan2(1.0, float(n0))
+    new_pos /= np.linalg.norm(new_pos, axis=1)[:, None]
+    return new_pos, new_r
+
+
+def reference_initial_radii(problem, pos):
+    """Edge-loop oracle of ``pattern.initial_radii``."""
+    acc = np.zeros(problem.nv)
+    cnt = np.zeros(problem.nv)
+    for u, v in problem.edges:
+        d = math.acos(float(np.clip(pos[u] @ pos[v], -1.0, 1.0)))
+        acc[u] += d
+        acc[v] += d
+        cnt[u] += 1
+        cnt[v] += 1
+    mean = acc / np.maximum(cnt, 1)
+    r = np.arccos(np.sqrt(np.clip(np.cos(mean), 0.05, 1.0)))
+    r = np.clip(r, 0.05, 1.4)
+    r[problem.fixed] = 0.0
+    return r
+
+
+def reference_jacobian(problem, theta):
+    """Entry-wise oracle of ``PatternProblem.jacobian``: one edge row and one
+    unit-norm row at a time."""
+    pos, r = problem.unpack(theta)
+    J = np.zeros((problem.nres, problem.nvar))
+    for i, (u, v) in enumerate(problem.edges):
+        J[i, 3 * u:3 * u + 3] = pos[v]
+        J[i, 3 * v:3 * v + 3] = pos[u]
+        if not problem.fixed[u]:
+            J[i, problem.r_col[u]] = math.sin(r[u]) * math.cos(r[v])
+        if not problem.fixed[v]:
+            J[i, problem.r_col[v]] = math.cos(r[u]) * math.sin(r[v])
+    for v in range(problem.nv):
+        J[len(problem.edges) + v, 3 * v:3 * v + 3] = 2.0 * pos[v]
+    return J
+
+
+def stereographic(p, viewpoint, frame):
+    """Plane coordinates of the unit vector p projected from ``viewpoint``."""
+    e1, e2 = frame
+    denom = 1.0 - float(np.dot(p, viewpoint))
+    if denom < 1e-12:
+        raise ValidationError("stereographic projection hit the viewpoint")
+    q = (p - float(np.dot(p, viewpoint)) * viewpoint) / denom
+    return np.array([float(np.dot(q, e1)), float(np.dot(q, e2))])
+
+
+def reference_euclidean_circle(center, rho, viewpoint, frame):
+    """Three-point oracle of ``realization._euclidean_circles``: project
+    three points of the spherical circle and circumscribe them."""
+    e1, e2 = frame
+    m = np.asarray(center, float)
+    t1 = e1 - np.dot(e1, m) * m
+    if np.linalg.norm(t1) < 1e-9:
+        t1 = e2 - np.dot(e2, m) * m
+    t1 /= np.linalg.norm(t1)
+    t2 = np.cross(m, t1)
+    pts2d = []
+    for theta in (0.0, 2 * math.pi / 3, 4 * math.pi / 3):
+        p = math.cos(rho) * m + math.sin(rho) * (math.cos(theta) * t1 + math.sin(theta) * t2)
+        pts2d.append(stereographic(p, viewpoint, frame))
+    (x1, y1), (x2, y2), (x3, y3) = pts2d
+    a = np.array([[2 * (x2 - x1), 2 * (y2 - y1)], [2 * (x3 - x1), 2 * (y3 - y1)]])
+    b = np.array([x2 ** 2 - x1 ** 2 + y2 ** 2 - y1 ** 2,
+                  x3 ** 2 - x1 ** 2 + y3 ** 2 - y1 ** 2])
+    cx, cy = np.linalg.solve(a, b)
+    return np.array([cx, cy]), math.hypot(x1 - cx, y1 - cy)
 
 
 @pytest.fixture

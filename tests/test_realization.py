@@ -7,17 +7,23 @@ import pytest
 
 from acutesphere import fixtures
 from acutesphere.errors import SolveError, ValidationError
-from acutesphere.pattern import (PatternProblem, initial_radii,
+from acutesphere.exports import realization_svg
+from acutesphere.klein import boost_to
+from acutesphere.pattern import (PatternProblem, _transport_pattern, initial_radii,
                                  levenberg_marquardt, solve_pattern, tutte_sphere_init)
-from acutesphere.realization import (CombinatorialRefusal, GeodesicRealization,
-                                     _corner_index_arrays, _invariant_check,
-                                     _nonedge_pairs, _smoothed_max_angle, alpha_estimate,
+from acutesphere.realization import (VIEWPOINT_TOL, CombinatorialRefusal, GeodesicRealization,
+                                     _corner_index_arrays, _euclidean_circles,
+                                     _invariant_check, _nonedge_pairs, _smoothed_max_angle,
+                                     _tangent_frame, alpha_estimate,
                                      glue_caps, is_subordinate, pattern_residuals,
                                      project_euclidean, realize_sphere, verify_acute,
                                      verify_coinciding_perpendiculars)
 from acutesphere.spherical import corner_angle, perpendicular_foot, spherical_distance
 from acutesphere.triangulation import (EdgeLabeling, double, ideal_allright_conditions,
                                        is_flag_no_square, maehara_cap)
+
+from conftest import (reference_euclidean_circle, reference_initial_radii, reference_jacobian,
+                      reference_transport_pattern, stereographic)
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +176,39 @@ def test_cap5_euclidean_projection(cap5_result):
     assert eu.orthogonality_residual() < 1e-8
     assert eu.perpendicular_ratio_deviation() < 1e-8
     assert all(ang < math.pi / 2 for _, _, ang in eu.corner_angles())
+
+
+def _expected_svg_circles(real):
+    """Disks that ``realization_svg`` draws, counted with the three-point
+    oracle: positive radius, not through the viewpoint and drawn no larger
+    than three times the picture."""
+    centroid = sum(real.positions[v] for v in real.parent.faces[0])
+    nu = -centroid / np.linalg.norm(centroid)
+    frame = _tangent_frame(nu)
+    flat = [stereographic(p, nu, frame) for p in real.positions.values()]
+    span = max(abs(c) for p in flat for c in p) + 1e-9
+    count = 0
+    for v in real.parent.vertices:
+        m, rho = real.positions[v], real.radii[v]
+        if rho > 0.0 and abs(math.cos(rho) - m @ nu) >= VIEWPOINT_TOL:
+            count += reference_euclidean_circle(m, rho, nu, frame)[1] <= 3 * span
+    return count, nu
+
+
+def test_realization_svg_draws_every_clear_circle(cap5_result):
+    real = cap5_result.realization
+    expected, nu = _expected_svg_circles(real)
+    assert realization_svg(real).count('stroke="#3377cc"') == expected > 0
+    # a disk grown until its circle passes the viewpoint (an image line),
+    # or nearly (an image far larger than the picture), is left out, and no
+    # other disk goes missing with it
+    v = real.parent.vertices[-1]
+    for gap in (0.0, 1e-4):
+        grown = dict(real.radii)
+        grown[v] = math.acos(float(real.positions[v] @ nu)) - gap
+        near = GeodesicRealization(real.parent, real.positions, grown)
+        assert _expected_svg_circles(near)[0] == expected - 1
+        assert realization_svg(near).count('stroke="#3377cc"') == expected - 1
 
 
 def test_square_wheel_refused(load):
@@ -345,6 +384,95 @@ def test_pattern_jacobian_matches_finite_differences(load):
             step[col] = h
             fd = (problem.residuals(theta + step) - problem.residuals(theta - step)) / (2 * h)
             assert np.max(np.abs(fd - J[:, col])) < 1e-8, (tri, col)
+
+
+def _unit_rows(rng, n):
+    x = rng.standard_normal((n, 3))
+    return x / np.linalg.norm(x, axis=1)[:, None]
+
+
+def test_transport_matches_per_vertex_reference():
+    # seeded patterns with radius-0 and pinned (fixed) ideal rows, moved by
+    # boosts of every strength up to 0.95: both paths agree, and refuse the
+    # same inputs for pushing a disk past a hemisphere
+    rng = np.random.default_rng(11)
+    moved = refused = 0
+    for _ in range(300):
+        n = 12
+        pos = _unit_rows(rng, n)
+        radii = rng.uniform(0.05, 1.5, n)
+        radii[rng.random(n) < 0.2] = 0.0
+        fixed = rng.random(n) < 0.15
+        B = boost_to(_unit_rows(rng, 1)[0] * rng.uniform(0.0, 0.95))
+        try:
+            ref_pos, ref_r = reference_transport_pattern(B, pos, radii, fixed)
+        except SolveError:
+            with pytest.raises(SolveError, match="past a hemisphere"):
+                _transport_pattern(B, pos, radii, fixed)
+            refused += 1
+            continue
+        new_pos, new_r = _transport_pattern(B, pos, radii, fixed)
+        assert np.max(np.abs(new_pos - ref_pos)) <= 1e-15
+        assert np.max(np.abs(new_r - ref_r)) <= 1e-15
+        moved += 1
+    assert moved > 50 and refused > 50
+
+
+def test_initial_radii_and_jacobian_match_loop_references(load):
+    # the closed icosahedron and the capped square disk, whose hubs have
+    # radius 0 and no radius column; at a Tutte start and at random points
+    capped = glue_caps(load("square_disk_a"))
+    rng = np.random.default_rng(13)
+    for tri, hubs in [(load("icosahedron"), ()), (capped.closed, capped.hub_vertices)]:
+        problem = PatternProblem(tri, fixed_zero=hubs)
+        starts = [tutte_sphere_init(tri, tri.vertices[0], rng)]
+        starts += [_unit_rows(rng, problem.nv) for _ in range(5)]
+        for pos in starts:
+            r0 = initial_radii(problem, pos)
+            assert np.max(np.abs(r0 - reference_initial_radii(problem, pos))) <= 1e-15
+            theta = problem.pack(pos * rng.uniform(0.5, 1.5, (problem.nv, 1)),
+                                 rng.uniform(0.0, 1.5, problem.nv))
+            J = problem.jacobian(theta)
+            assert np.max(np.abs(J - reference_jacobian(problem, theta))) <= 1e-15
+
+
+def test_euclidean_circles_match_three_point_reference():
+    # seeded circles and viewpoints, circles through or near the viewpoint
+    # left out; every image agrees with the circumcircle of three projected
+    # points, and points sampled on each spherical circle land on its image
+    rng = np.random.default_rng(17)
+    angles = np.linspace(0.0, 2 * math.pi, 16, endpoint=False)
+    checked = 0
+    for _ in range(40):
+        nu = _unit_rows(rng, 1)[0]
+        frame = _tangent_frame(nu)
+        assert np.allclose(np.array([*frame, nu]) @ np.array([*frame, nu]).T, np.eye(3),
+                           atol=1e-15)
+        m = _unit_rows(rng, 20)
+        rho = rng.uniform(0.05, 1.5, 20)
+        clear = np.abs(np.cos(rho) - m @ nu) > 0.05
+        centers, radii = _euclidean_circles(m[clear], rho[clear], nu, frame)
+        for mi, ri, c, r in zip(m[clear], rho[clear], centers, radii):
+            ref_c, ref_r = reference_euclidean_circle(mi, ri, nu, frame)
+            size = np.linalg.norm(ref_c) + ref_r
+            assert np.linalg.norm(c - ref_c) <= 1e-12 * size
+            assert abs(r - ref_r) <= 1e-12 * ref_r
+            t1 = np.cross(mi, _unit_rows(rng, 1)[0])
+            t1 /= np.linalg.norm(t1)
+            t2 = np.cross(mi, t1)
+            for a in angles:
+                p = math.cos(ri) * mi + math.sin(ri) * (math.cos(a) * t1 + math.sin(a) * t2)
+                q = stereographic(p, nu, frame)
+                assert abs(np.linalg.norm(q - c) - r) <= 1e-12 * size
+            checked += 1
+    assert checked > 300
+
+
+def test_euclidean_circles_refuse_circle_through_viewpoint():
+    nu = np.array([0.0, 0.0, 1.0])
+    m = np.array([[0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(ValidationError, match="viewpoint"):
+        _euclidean_circles(m, np.array([0.3, math.pi / 2]), nu, _tangent_frame(nu))
 
 
 @pytest.mark.parametrize("n", [12, 20, 40])
