@@ -61,6 +61,19 @@ def _load(args):
         raise SystemExit(EXIT_INPUT)
 
 
+def _out_dir(args):
+    """The ``--out`` directory, created if needed; an input error (exit 2)
+    when it cannot be, for example because a file has its name."""
+    outdir = Path(args.out)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"input error: cannot create output directory {args.out}: {exc}",
+              file=sys.stderr)
+        raise SystemExit(EXIT_INPUT)
+    return outdir
+
+
 def cmd_check(args):
     tri, labeling = _load(args)
     verdicts = {
@@ -123,22 +136,22 @@ def cmd_check(args):
     _emit(report, f"obstruction found ({kind}); not acute-realizable")
     if args.format == "svg" and args.out:
         cyc = obstruction.cycle if obstruction else ()
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        (Path(args.out) / "obstruction.svg").write_text(exports.graph_svg(tri, cyc))
+        (_out_dir(args) / "obstruction.svg").write_text(exports.graph_svg(tri, cyc))
     return EXIT_OBSTRUCTION
 
 
 def cmd_realize(args):
     tri, _ = _load(args)
+    # made before the solve, so an unusable --out fails before the work
+    outdir = _out_dir(args) if args.out else None
     try:
         res = realize_sphere(tri, seed=args.seed, tol=args.tol)
     except CombinatorialRefusal as exc:
         report = _report("realize", args, {"realized": False, "refusal": str(exc)},
                          [exc.witness] if exc.witness else [])
         _emit(report, f"refused: {exc}")
-        if args.out and args.format == "svg" and exc.witness:
-            Path(args.out).mkdir(parents=True, exist_ok=True)
-            (Path(args.out) / "obstruction.svg").write_text(
+        if outdir and args.format == "svg" and exc.witness:
+            (outdir / "obstruction.svg").write_text(
                 exports.graph_svg(tri, exc.witness.cycle))
         return EXIT_OBSTRUCTION
     acute = res.acute
@@ -157,9 +170,7 @@ def cmd_realize(args):
                 "coinciding_perpendiculars": perp.passed}
     report = _report("realize", args, verdicts, metrics=metrics)
     report["realization"] = res.realization.to_json()
-    if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
+    if outdir:
         stem = Path(args.path).stem
         (outdir / f"{stem}.realization.json").write_text(
             exports.realization_json(res.realization, extra={"metrics": metrics}))
@@ -177,7 +188,11 @@ def _parse_triple(text, kind=float):
     parts = [p for p in text.replace(",", " ").split() if p]
     if len(parts) != 3:
         raise ValidationError(f"expected three comma-separated values, got {text!r}")
-    return tuple(kind(p) for p in parts)
+    try:
+        return tuple(kind(p) for p in parts)
+    except ValueError:
+        raise ValidationError(
+            f"expected three {kind.__name__} values, got {text!r}") from None
 
 
 def cmd_dual(args):
@@ -277,8 +292,12 @@ def cmd_construct(args):
         return EXIT_INPUT
     text = serialize(tri) + "\n"
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            print(f"input error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     else:
         sys.stdout.write(text)
     print(f"constructed: {len(tri.vertices)} vertices, {len(tri.faces)} faces",

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import GeometryError, ValidationError
 from .spherical import (CORNERS, IDENTITY_MAP, CornerMap, SphericalTriangle,
@@ -99,6 +98,7 @@ class SigmaCurve:
             return 1.0
         if f0 < 0.0 or f1 > 0.0:
             raise GeometryError(f"x={x!r} admits no root y in (0, 1)")
+        from scipy.optimize import brentq
         y = brentq(lambda t: self(x, t), 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
         # Newton polish; d(sigma)/dy < 0 throughout
         for _ in range(2):
@@ -234,6 +234,7 @@ def solve_dual_22p(R: SphericalTriangle, p: int,
             return curve(yv, yv * cos_b / cos_c)
 
         y_hi = min(1.0, cos_c / cos_b)
+        from scipy.optimize import brentq
         y0 = brentq(g, cos_c, y_hi, xtol=1e-15, rtol=8.9e-16)
         x0 = cos_c / y0
         z0 = y0 * cos_b / cos_c
@@ -366,6 +367,7 @@ def solve_dual_general(R: SphericalTriangle, target: SphericalTriangle,
             min_slope=float(np.min(slopes))))
     else:
         x_lo, x_hi = lo, hi
+    from scipy.optimize import brentq
     x0 = brentq(closing, x_lo, x_hi, xtol=1e-15, rtol=8.9e-16)
     y0 = curve_xy.solve_y(x0)
     z0 = curve_zx.solve_y(x0)

@@ -15,11 +15,11 @@ the Lobachevsky function.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy, zeta
 
 from .duality import SIGMA_RESIDUAL_TOL, DualityWitness, allright_feet, sigma
 from .errors import GeometryError, InternalInconsistency, ValidationError
@@ -225,10 +225,15 @@ ORTHOSCHEMES = (("X", "Z'"), ("X", "Y'"), ("Y", "X'"),
 _LOBACHEVSKY_WEIGHTS = np.array([1.0, -1.0, 1.0, -1.0, -1.0, 1.0, 2.0])
 _SIGNATURE = np.array([-1.0, 1.0, 1.0, 1.0])
 
-# Clausen series coefficients |B_2k| / (2k (2k+1)!) = 2 zeta(2k) / ((2 pi)^2k 2k (2k+1))
-# for k = 24 .. 1, highest order first as np.polyval takes them
-_TWO_K = np.arange(48, 0, -2)
-_CLAUSEN = 2.0 * zeta(_TWO_K) / ((2.0 * math.pi) ** _TWO_K * _TWO_K * (_TWO_K + 1))
+
+@functools.cache
+def _clausen_coefficients():
+    """Clausen series coefficients |B_2k| / (2k (2k+1)!) = 2 zeta(2k) / ((2 pi)^2k 2k (2k+1))
+    for k = 24 .. 1, highest order first as np.polyval takes them; built on
+    first use, so importing this module does not load scipy."""
+    from scipy.special import zeta
+    two_k = np.arange(48, 0, -2)
+    return 2.0 * zeta(two_k) / ((2.0 * math.pi) ** two_k * two_k * (two_k + 1))
 
 
 def lobachevsky(theta):
@@ -242,7 +247,8 @@ def lobachevsky(theta):
     t = np.asarray(theta, float)
     x = 2.0 * (t - math.pi * np.round(t / math.pi))
     x2 = x * x
-    return 0.5 * (x - xlogy(x, np.abs(x)) + x * x2 * np.polyval(_CLAUSEN, x2))
+    from scipy.special import xlogy
+    return 0.5 * (x - xlogy(x, np.abs(x)) + x * x2 * np.polyval(_clausen_coefficients(), x2))
 
 
 def orthoscheme_volume(a, b, c):

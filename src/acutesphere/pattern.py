@@ -16,7 +16,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import SolveError
 from .klein import boost_to
@@ -270,6 +269,7 @@ def moebius_normalize(pos: np.ndarray, radii: np.ndarray, fixed: np.ndarray):
             return np.full(3, 1e3) * (1.0 + np.linalg.norm(w))
         return newp.sum(axis=0)
 
+    from scipy.optimize import least_squares
     res = least_squares(fun, np.zeros(3), xtol=1e-15, ftol=1e-15, gtol=1e-15)
     return _transport_pattern(boost_to(_to_ball(res.x)), pos, radii, fixed)
 

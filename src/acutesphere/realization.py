@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import AcuteSphereError, InternalInconsistency, SolveError, ValidationError
 from .pattern import solve_pattern, tutte_sphere_init
@@ -617,6 +616,14 @@ def _smoothed_max_angle(flat, corner_idx, sharpness):
     np.add.at(g, c, dq[:, None] * A + ds[:, None] * B)
     g -= np.einsum("ij,ij->i", g, u)[:, None] * u
     return value, (g / norms[:, None]).ravel()
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported at its first call.
+    ``alpha_estimate`` calls it through this module attribute, so a caller
+    can wrap it here to count its evaluations."""
+    from scipy.optimize import minimize
+    return minimize(*args, **kwargs)
 
 
 def alpha_estimate(tri: AbstractTriangulation, seed: int = 0, starts: int = 3,

@@ -149,6 +149,20 @@ def test_realize_writes_outputs(tmp_path, capsys):
     assert off[0] == "OFF" and off[1].split()[0] == "12"
 
 
+def test_realize_out_is_a_file(tmp_path, capsys, monkeypatch):
+    # an unusable --out is an input error, found before the solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("realize solved before checking --out")
+
+    monkeypatch.setattr(cli, "realize_sphere", no_solve)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, ["realize", fixture_file("icosahedron"), "--out", str(taken)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("input error: cannot create output directory")
+
+
 def test_realize_refusal_exit_code(capsys):
     code, report, err = run(capsys, ["realize", fixture_file("square_disk_a_double")])
     assert code == 1
@@ -187,6 +201,19 @@ def test_dual_invalid_sides(capsys):
                                 "--target", "2,2,2"])
     assert code == 2
     assert "input error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--triangle", "1,0.5,x", "--target", "2,3,5"],
+    ["--triangle", "1,0.5,0.6", "--target", "2,3,x"],
+    ["--triangle", "1,0.5,0.6", "--target", "2,3,4.5"],
+    ["--triangle", "1.1,1.1,1.1", "--target-triangle", "1.5,1.5,y"],
+])
+def test_dual_malformed_triple(capsys, argv):
+    code, report, err = run(capsys, ["dual", *argv])
+    assert code == 2
+    assert report is None
+    assert err.startswith("input error: expected three")
 
 
 def test_dual_target_triangle(capsys):
@@ -253,6 +280,16 @@ def test_construct_flip_boundary_edge_fails(tmp_path, capsys):
     code, _, err = run(capsys, ["construct", "flip", str(out), "--edge", "b0,b1"])
     assert code == 2
     assert "input error" in err
+
+
+def test_construct_out_under_a_file(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out in (taken / "cap5.json", tmp_path):
+        code, report, err = run(capsys, ["construct", "cap", "5", "--out", str(out)])
+        assert code == 2
+        assert err.startswith("input error: cannot write")
+    assert taken.read_text() == ""
 
 
 def test_construct_cap_too_small(capsys):
