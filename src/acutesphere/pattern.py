@@ -6,7 +6,8 @@ adjacent vertices intersect orthogonally: cos d(x_u, x_v) = cos r_u cos r_v.
 The solver is a plain dense Levenberg-Marquardt loop over the stacked
 residuals (edge equations plus unit-norm equations).  Damping uses a scalar
 multiple of the identity, so the iteration commutes with rotations of the
-initialization; all randomness is drawn from an explicit seed.
+initialization; all randomness is drawn from an explicit seed.  The Moebius
+gauge comes from Newton steps with a closed-form 3x3 Jacobian (numpy only).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolveError
+from .errors import GeometryError, SolveError
 from .klein import boost_to
 from .triangulation import AbstractTriangulation
 
@@ -30,6 +31,8 @@ class PatternSolution:
     iterations: int
     pole: object               # Tutte pole vertex of the start that succeeded
     starts: int                # starts tried, that one included
+    normalization_residual: float  # max |sum of centers| the gauge reached, before re-polish
+    normalization_steps: int       # Newton steps the gauge took
 
 
 # record of one start of the multi-start solve (reason: why it was rejected)
@@ -254,24 +257,51 @@ def _to_ball(w):
     return w * (math.tanh(nw) / nw)
 
 
+NORMALIZE_MAX_STEPS = 30      # Newton steps of the Moebius gauge
+NORMALIZE_MAX_HALVINGS = 20   # halvings of one step before the gauge gives up
+NORMALIZE_TOL = 1e-12         # bound on max |sum of centers| per vertex
+
+
 def moebius_normalize(pos: np.ndarray, radii: np.ndarray, fixed: np.ndarray):
     """Normalize a pattern to the gauge where the disk centers sum to zero.
 
-    The boost parameter is found by root-finding on the transported centers
-    (parametrized through w -> tanh|w| w/|w| to stay inside the ball); a
-    symmetric pattern lands exactly on its symmetric representative.
+    Newton steps on the center sum S, whose Jacobian under a boost of small
+    rapidity d is J = sum_v cos r_v (I - x_v x_v^T) (r = 0 at ideal vertices):
+    each boosts the current pattern by ``_to_ball(d)`` for J d = -S.  While
+    max |S| is above ``NORMALIZE_TOL * V``, d is halved until the boost keeps
+    every disk inside a hemisphere and shrinks max |S|; below it, the steps
+    go on until max |S| stops shrinking.  Returns positions, radii, max |S|
+    and the steps taken; raises SolveError if J is singular, no halving
+    finds a step, or the steps run out above the bound.
     """
-
-    def fun(w):
+    tol = NORMALIZE_TOL * len(radii)
+    res, steps = float(np.max(np.abs(pos.sum(axis=0)))), 0
+    while res > 0.0 and steps < NORMALIZE_MAX_STEPS:
+        w = np.where(fixed | (radii <= 0.0), 1.0, np.cos(radii))
+        J = w.sum() * np.eye(3) - np.einsum("n,ni,nj->ij", w, pos, pos)
         try:
-            newp, _ = _transport_pattern(boost_to(_to_ball(w)), pos, radii, fixed)
-        except SolveError:
-            return np.full(3, 1e3) * (1.0 + np.linalg.norm(w))
-        return newp.sum(axis=0)
-
-    from scipy.optimize import least_squares
-    res = least_squares(fun, np.zeros(3), xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    return _transport_pattern(boost_to(_to_ball(res.x)), pos, radii, fixed)
+            d = np.linalg.solve(J, -pos.sum(axis=0))
+        except np.linalg.LinAlgError:
+            raise SolveError("normalization Jacobian is singular (centers on one axis)") from None
+        for _ in range(NORMALIZE_MAX_HALVINGS):
+            try:
+                new_pos, new_r = _transport_pattern(boost_to(_to_ball(d)), pos, radii, fixed)
+                new_res = float(np.max(np.abs(new_pos.sum(axis=0))))
+                if new_res < res or res <= tol:
+                    break
+            except (SolveError, GeometryError):
+                pass
+            d = d / 2.0
+        else:
+            raise SolveError(f"normalization found no step in {NORMALIZE_MAX_HALVINGS} halvings "
+                             "that keeps every disk in a hemisphere and shrinks the center sum")
+        if not new_res < res:
+            break
+        pos, radii, res, steps = new_pos, new_r, new_res, steps + 1
+    if res > tol:
+        raise SolveError(f"normalization stopped at max |sum of centers| {res:.3e} "
+                         f"after {steps} steps")
+    return pos, radii, res, steps
 
 
 # -- top-level solve ---------------------------------------------------------
@@ -308,7 +338,7 @@ def solve_pattern(tri: AbstractTriangulation, fixed_zero=(), seed: int = 0,
             reason = "radii left (0, pi/2)"
         else:
             try:
-                pos, r = moebius_normalize(pos, r, problem.fixed)
+                pos, r, norm_res, norm_steps = moebius_normalize(pos, r, problem.fixed)
             except SolveError as exc:
                 reason = str(exc)
         if reason is None:
@@ -321,7 +351,9 @@ def solve_pattern(tri: AbstractTriangulation, fixed_zero=(), seed: int = 0,
                 reason = f"post-normalization residual {resid:.3e}"
             else:
                 sol = PatternSolution(positions=pos, radii=r, residual=resid,
-                                      iterations=iters, pole=pole, starts=attempt + 1)
+                                      iterations=iters, pole=pole, starts=attempt + 1,
+                                      normalization_residual=norm_res,
+                                      normalization_steps=norm_steps)
                 reason = validate(sol) if validate is not None else None
                 if not reason:
                     return sol

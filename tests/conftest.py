@@ -206,6 +206,25 @@ def reference_transport_pattern(B, pos, radii, fixed):
     return new_pos, new_r
 
 
+def reference_moebius_normalize(pos, radii, fixed):
+    """The root-find that ``pattern.moebius_normalize`` replaced, kept as its
+    oracle: scipy ``least_squares`` on the transported center sum over one
+    pure boost, parametrized through w -> tanh|w| w/|w| to stay in the ball."""
+    from scipy.optimize import least_squares
+
+    from acutesphere.pattern import _to_ball, _transport_pattern
+
+    def fun(w):
+        try:
+            newp, _ = _transport_pattern(boost_to(_to_ball(w)), pos, radii, fixed)
+        except SolveError:
+            return np.full(3, 1e3) * (1.0 + np.linalg.norm(w))
+        return newp.sum(axis=0)
+
+    res = least_squares(fun, np.zeros(3), xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    return _transport_pattern(boost_to(_to_ball(res.x)), pos, radii, fixed)
+
+
 def reference_initial_radii(problem, pos):
     """Edge-loop oracle of ``pattern.initial_radii``."""
     acc = np.zeros(problem.nv)

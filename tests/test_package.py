@@ -65,6 +65,20 @@ def test_check_command_does_not_load_scipy():
     assert out == [0, False]
 
 
+def test_realize_command_does_not_load_scipy(tmp_path):
+    # the Moebius normalization is numpy Newton steps, so realizing and its
+    # exports need no scipy
+    path = str(fixtures.fixture_path("icosahedron"))
+    out = fresh("import contextlib, io, json, sys\n"
+                "from acutesphere import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    code = cli.main(['realize', {path!r}, '--out', {str(tmp_path)!r}])\n"
+                "print(json.dumps([code, 'scipy' in sys.modules]))")
+    assert out == [0, False]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "icosahedron.off", "icosahedron.realization.json", "icosahedron.svg"]
+
+
 def test_submodule_resolves_after_bare_import():
     out = fresh("import json, acutesphere\n"
                 "print(json.dumps([acutesphere.pattern.__name__,\n"

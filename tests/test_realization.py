@@ -5,12 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
-from acutesphere import fixtures
+from acutesphere import fixtures, pattern
 from acutesphere.errors import SolveError, ValidationError
 from acutesphere.exports import realization_svg
 from acutesphere.klein import boost_to
 from acutesphere.pattern import (PatternProblem, _transport_pattern, initial_radii,
-                                 levenberg_marquardt, solve_pattern, tutte_sphere_init)
+                                 levenberg_marquardt, moebius_normalize, solve_pattern,
+                                 tutte_sphere_init)
 from acutesphere.realization import (VIEWPOINT_TOL, CombinatorialRefusal, GeodesicRealization,
                                      _corner_index_arrays, _euclidean_circles,
                                      _invariant_check, _nonedge_pairs, _smoothed_max_angle,
@@ -23,7 +24,7 @@ from acutesphere.triangulation import (EdgeLabeling, double, ideal_allright_cond
                                        is_flag_no_square, maehara_cap)
 
 from conftest import (reference_euclidean_circle, reference_initial_radii, reference_jacobian,
-                      reference_transport_pattern, stereographic)
+                      reference_moebius_normalize, reference_transport_pattern, stereographic)
 
 
 @pytest.fixture(scope="module")
@@ -489,6 +490,8 @@ def test_solve_pattern_records_starts(load):
     ico = load("icosahedron")
     sol = solve_pattern(ico, seed=0)
     assert sol.starts == 1 and sol.pole in ico.vertices
+    assert 1 <= sol.normalization_steps <= 8
+    assert 0.0 <= sol.normalization_residual <= 1e-14 * len(ico.vertices)
     rejected = []
 
     def reject_first(s):
@@ -510,6 +513,133 @@ def test_solve_pattern_records_starts(load):
     assert {a.pole for a in err.attempts[:2]} == {"c", "c*"}
     degrees = [dbl.degree(a.pole) for a in err.attempts]
     assert degrees == sorted(degrees, reverse=True)
+
+
+# -- Moebius normalization --------------------------------------------------
+
+
+def _aligned(pos, target):
+    """``pos`` under the rotation that best maps it onto ``target``."""
+    u, _, vt = np.linalg.svd(pos.T @ target)
+    rot = u @ vt
+    assert np.linalg.det(rot) > 0
+    return pos @ rot
+
+
+@pytest.mark.parametrize("name", ["icosahedron", "sphere_28", 5, 8])
+def test_moebius_normalize_matches_least_squares_reference(load, name):
+    # an LM solution from a Tutte start, before any normalization; the gauge
+    # fixes the boost, and the Newton steps compose boosts, so the two
+    # results agree up to a rotation of the sphere
+    tri = double(maehara_cap(name)) if isinstance(name, int) else load(name)
+    problem = PatternProblem(tri)
+    pos0 = tutte_sphere_init(tri, tri.vertices[0], np.random.default_rng(3))
+    theta, _, _ = levenberg_marquardt(problem, problem.pack(pos0, initial_radii(problem, pos0)))
+    pos, r = problem.unpack(theta)
+    assert np.max(np.abs(pos.sum(axis=0))) > 0.1
+    new_pos, new_r, res, steps = moebius_normalize(pos, r, problem.fixed)
+    ref_pos, ref_r = reference_moebius_normalize(pos, r, problem.fixed)
+    assert np.max(np.abs(new_r - ref_r)) <= 1e-12
+    assert np.max(np.abs(_aligned(new_pos, ref_pos) - ref_pos)) <= 1e-12
+    assert res == np.max(np.abs(new_pos.sum(axis=0))) <= 1e-14 * problem.nv
+    assert 1 <= steps <= 8
+
+
+@pytest.mark.parametrize("name", ["icosahedron", "sphere_28"])
+def test_moebius_normalize_undoes_boosts(load, name, monkeypatch):
+    # rigidity: a boosted pattern normalizes back to the solved one, up to a
+    # rotation; far boosts toward a disk center make the first full Newton
+    # step push a disk past a hemisphere, so the step is halved
+    sol = solve_pattern(load(name), seed=0)
+    fixed = np.zeros(len(sol.radii), dtype=bool)
+    refused = []
+
+    def transport(*args):
+        try:
+            return _transport_pattern(*args)
+        except SolveError:
+            refused.append(1)
+            raise
+
+    monkeypatch.setattr(pattern, "_transport_pattern", transport)
+    rng = np.random.default_rng(29)
+    boosts = [_unit_rows(rng, 1)[0] * rng.uniform(0.0, 0.8) for _ in range(30)]
+    boosts += [0.9 * x for x in sol.positions]
+    checked = halved = 0
+    for b in boosts:
+        try:
+            pos, r = _transport_pattern(boost_to(b), sol.positions, sol.radii, fixed)
+        except SolveError:
+            continue
+        if r.max() >= math.pi / 2:
+            continue
+        refused.clear()
+        new_pos, new_r, res, _ = moebius_normalize(pos, r, fixed)
+        assert np.max(np.abs(np.sort(new_r) - np.sort(sol.radii))) <= 1e-12
+        assert np.max(np.abs(new_pos @ new_pos.T - sol.positions @ sol.positions.T)) <= 1e-12
+        assert res <= 1e-14 * len(r)
+        checked += 1
+        halved += bool(refused)
+    assert checked >= 20
+    if name == "sphere_28":
+        assert halved >= 1
+
+
+def test_moebius_normalize_backtracks_when_a_full_step_grows_the_sum(monkeypatch):
+    # five seeded disks on which the first full Newton step takes max |S|
+    # from 2.28 to 3.46 with every disk inside a hemisphere: the step is
+    # halved until the sum shrinks, and the gauge still converges
+    rng = np.random.default_rng(71)
+    pos, r = _unit_rows(rng, 5), rng.uniform(0.05, 0.6, 5)
+    fixed = np.zeros(5, dtype=bool)
+    sums = []
+
+    def transport(*args):
+        out = _transport_pattern(*args)
+        sums.append(np.max(np.abs(out[0].sum(axis=0))))
+        return out
+
+    monkeypatch.setattr(pattern, "_transport_pattern", transport)
+    new_pos, new_r, res, steps = moebius_normalize(pos, r, fixed)
+    assert sums[0] > np.max(np.abs(pos.sum(axis=0))) > sums[1]
+    assert res == np.max(np.abs(new_pos.sum(axis=0))) <= 1e-14 * 5
+    ref_pos, ref_r = reference_moebius_normalize(pos, r, fixed)
+    assert np.max(np.abs(np.sort(new_r) - np.sort(ref_r))) <= 1e-12
+    assert np.max(np.abs(new_pos @ new_pos.T - ref_pos @ ref_pos.T)) <= 1e-12
+    assert steps < pattern.NORMALIZE_MAX_STEPS
+
+
+def test_moebius_normalize_failures_are_solve_errors(load, monkeypatch):
+    # every center on one axis: J is singular
+    axis = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    with pytest.raises(SolveError, match="singular"):
+        moebius_normalize(axis, np.full(3, 0.3), np.zeros(3, dtype=bool))
+    # nearly so: the Newton step is so long that even halved 20 times its
+    # boost leaves the ball (boost_to's GeometryError)
+    near = axis + 1e-6 * np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+    near /= np.linalg.norm(near, axis=1)[:, None]
+    no_step = ("normalization found no step in 20 halvings that keeps every disk "
+               "in a hemisphere and shrinks the center sum")
+    with pytest.raises(SolveError, match=no_step):
+        moebius_normalize(near, np.full(3, 0.3), np.zeros(3, dtype=bool))
+    # steps run out while max |S| is still above the bound
+    ico = load("icosahedron")
+    problem = PatternProblem(ico)
+    pos0 = tutte_sphere_init(ico, ico.vertices[0], np.random.default_rng(3))
+    theta, _, _ = levenberg_marquardt(problem, problem.pack(pos0, initial_radii(problem, pos0)))
+    pos, r = problem.unpack(theta)
+    monkeypatch.setattr(pattern, "NORMALIZE_MAX_STEPS", 1)
+    with pytest.raises(SolveError, match=r"normalization stopped at max \|sum of centers\| .* after 1 steps"):
+        moebius_normalize(pos, r, problem.fixed)
+    monkeypatch.undo()
+
+    def refuse(*args):
+        raise SolveError("normalization pushed a disk past a hemisphere")
+
+    monkeypatch.setattr(pattern, "_transport_pattern", refuse)
+    with pytest.raises(SolveError) as exc:
+        solve_pattern(ico, seed=0, max_starts=2)
+    assert [a.reason for a in exc.value.attempts] == [no_step] * 2
 
 
 # -- vectorised checks against the loops they replaced ----------------------
