@@ -20,10 +20,11 @@ from .klein import beta, build_slanted_cube, volume
 from .realization import (CombinatorialRefusal, alpha_estimate, pattern_residuals,
                           project_euclidean, realize_sphere, verify_coinciding_perpendiculars)
 from .spherical import from_angles, from_sides, triangle_pqr
-from .triangulation import (coxeter_face_finite, coxeter_one_ended, diagonal_flip,
-                            double, empty_3cycle_obstruction, first_obstruction,
-                            four_cliques, has_chordless_square, ideal_allright_conditions,
-                            is_flag, is_flag_no_square, itoh_face_predicate,
+from .triangulation import (EdgeLabeling, acute_obstruction, coxeter_face_finite,
+                            coxeter_one_ended, diagonal_flip, double,
+                            empty_3cycle_obstruction, has_chordless_square,
+                            ideal_allright_conditions, is_flag, is_flag_no_separating_square,
+                            is_flag_no_square, itoh_face_predicate,
                             low_degree_interior_vertices, maehara_cap, parse_file,
                             separating_cycles, serialize, square_wheel)
 
@@ -74,6 +75,11 @@ def _out_dir(args):
     return outdir
 
 
+def _write_obstruction_svg(outdir, tri, witness):
+    (outdir / "obstruction.svg").write_text(
+        exports.graph_svg(tri, witness.cycle if witness else ()))
+
+
 def cmd_check(args):
     tri, labeling = _load(args)
     verdicts = {
@@ -98,45 +104,41 @@ def cmd_check(args):
         notes.append("no separating 3- or 4-cycle (all 3-/4-cycles enumerated)")
     verdicts["empty_3cycle_obstruction"] = empty_3cycle_obstruction(tri)
     if tri.is_closed:
-        realizable = verdicts["flag"] and chordless is None
-        verdicts["flag_no_square"] = realizable
+        verdicts["flag_no_square"] = is_flag_no_square(tri)
         verdicts["itoh_face_count"] = itoh_face_predicate(len(tri.faces))
-        if verdicts["flag"] and not four_cliques(tri):
+        if verdicts["flag"]:
             verdicts["ideal_allright_conditions"] = ideal_allright_conditions(tri)
     else:
-        fnss = verdicts["flag"] and not any(w.kind == "separating-4-cycle" for w in seps)
-        verdicts["flag_no_separating_square"] = fnss
+        verdicts["flag_no_separating_square"] = is_flag_no_separating_square(tri)
         low = low_degree_interior_vertices(tri)
         verdicts["low_degree_interior_vertices"] = list(low)
         if low:
             notes.append(
                 f"interior vertex {low[0]} of degree {tri.degree(low[0])} forces "
                 "a non-acute corner (2 pi angle sum)")
-        realizable = fnss and not low
         verdicts["boundary_components"] = [list(c) for c in tri.boundary_cycles]
     if args.labels:
         if labeling is None:
-            from .triangulation import EdgeLabeling
             labeling = EdgeLabeling(tri, {})
             notes.append("no labels in file; all-2 labeling assumed")
         faces_finite = all(coxeter_face_finite(*labeling.face_labels(f)) for f in tri.faces)
         verdicts["faces_induce_finite_groups"] = faces_finite
         if tri.is_closed and faces_finite:
             verdicts["coxeter_one_ended"] = coxeter_one_ended(tri, labeling)
-    verdicts["acute_realizable"] = realizable
-    obstruction = None if realizable else first_obstruction(tri)
-    if obstruction:
-        witnesses.insert(0, obstruction)
+    obstruction = acute_obstruction(tri)
+    verdicts["acute_realizable"] = obstruction is None
+    reason, witness = obstruction or (None, None)
+    if witness:
+        witnesses.insert(0, witness)
     report = _report("check", args, verdicts, witnesses, notes=notes)
     where = "S^2" if tri.is_closed else "S^2 (planar input)"
-    if realizable:
+    if obstruction is None:
         _emit(report, f"acute-realizable in {where}")
         return EXIT_OK
-    kind = obstruction.kind if obstruction else "unknown"
-    _emit(report, f"obstruction found ({kind}); not acute-realizable")
-    if args.format == "svg" and args.out:
-        cyc = obstruction.cycle if obstruction else ()
-        (_out_dir(args) / "obstruction.svg").write_text(exports.graph_svg(tri, cyc))
+    _emit(report, f"obstruction found ({witness.kind if witness else reason}); "
+                  "not acute-realizable")
+    if args.out:
+        _write_obstruction_svg(_out_dir(args), tri, witness)
     return EXIT_OBSTRUCTION
 
 
@@ -150,9 +152,8 @@ def cmd_realize(args):
         report = _report("realize", args, {"realized": False, "refusal": str(exc)},
                          [exc.witness] if exc.witness else [])
         _emit(report, f"refused: {exc}")
-        if outdir and args.format == "svg" and exc.witness:
-            (outdir / "obstruction.svg").write_text(
-                exports.graph_svg(tri, exc.witness.cycle))
+        if outdir:
+            _write_obstruction_svg(outdir, tri, exc.witness)
         return EXIT_OBSTRUCTION
     acute = res.acute
     perp = verify_coinciding_perpendiculars(res.realization)
@@ -311,13 +312,13 @@ def build_parser():
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, needs_path=True):
-        if needs_path:
-            p.add_argument("path", help="triangulation JSON file")
+    def common(p, writes_files=True):
+        p.add_argument("path", help="triangulation JSON file")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=float, default=1e-11)
-        p.add_argument("--out", default=None, help="output directory/file")
-        p.add_argument("--format", choices=("json", "off", "svg"), default="json")
+        if writes_files:
+            p.add_argument("--out", default=None,
+                           help="output directory (obstruction.svg on an obstruction)")
 
     p = sub.add_parser("check", help="combinatorial battery and realizability verdict")
     common(p)
@@ -337,7 +338,7 @@ def build_parser():
     p.set_defaults(func=cmd_dual)
 
     p = sub.add_parser("invariants", help="alpha and beta invariants")
-    common(p)
+    common(p, writes_files=False)
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("construct", help="emit cap/wheel/double/flip constructions")

@@ -120,27 +120,31 @@ class SigmaCurve:
             hi = np.where(pos, hi, mid)
         y = 0.5 * (lo + hi)
         for _ in range(2):
-            d = self._dy_vec(xs, y)
+            d = self._dy(xs, y)
             step = np.where(d != 0.0, self(xs, y) / np.where(d == 0.0, 1.0, d), 0.0)
             y = np.clip(y - step, 0.0, 1.0)
         return y
 
-    def _dy(self, x: float, y: float) -> float:
-        sx = math.sqrt(max(1e-300, 1.0 - x * x))
-        sy = math.sqrt(max(1e-300, 1.0 - y * y))
-        return -math.cos(self.gamma) * y * sx / sy - x
+    def _dy(self, x, y):
+        """d(sigma)/dy, elementwise (a float for float arguments)."""
+        sx, sy = _sines(x), _sines(y)
+        return _float_if_scalar(-math.cos(self.gamma) * y * sx / sy - x)
 
-    def _dy_vec(self, x, y):
-        sx = np.sqrt(np.maximum(1e-300, 1.0 - x * x))
-        sy = np.sqrt(np.maximum(1e-300, 1.0 - y * y))
-        return -math.cos(self.gamma) * y * sx / sy - x
-
-    def derivative_dy_dx(self, x: float, y: float) -> float:
-        """dy/dx along the zero set (strictly negative)."""
-        sx = math.sqrt(max(1e-300, 1.0 - x * x))
-        sy = math.sqrt(max(1e-300, 1.0 - y * y))
+    def derivative_dy_dx(self, x, y):
+        """dy/dx along the zero set (strictly negative), elementwise (a float
+        for float arguments)."""
+        sx, sy = _sines(x), _sines(y)
         cg = math.cos(self.gamma)
-        return -(y + x * sy * cg / sx) / (x + y * sx * cg / sy)
+        return _float_if_scalar(-(y + x * sy * cg / sx) / (x + y * sx * cg / sy))
+
+
+def _sines(c):
+    """sqrt(1 - c^2), kept above zero."""
+    return np.sqrt(np.maximum(1e-300, 1.0 - c * c))
+
+
+def _float_if_scalar(a):
+    return float(a) if np.ndim(a) == 0 else a
 
 
 @dataclass(frozen=True)
@@ -379,12 +383,10 @@ def solve_dual_general(R: SphericalTriangle, target: SphericalTriangle,
 
 def _closing_slopes(curve_xy, curve_zx, S, T, xs, ys, zs):
     """d/dx of sigma_{a,A'}(y(x), z(x)) along the grid (positive)."""
-    sy = np.sqrt(np.maximum(1e-300, 1.0 - ys * ys))
-    sz = np.sqrt(np.maximum(1e-300, 1.0 - zs * zs))
+    sy, sz = _sines(ys), _sines(zs)
     cg = math.cos(T.A)
     dsig_dy = -cg * ys * sz / sy - zs
     dsig_dz = -cg * zs * sy / sz - ys
-    dy_dx = np.array([curve_xy.derivative_dy_dx(x, y) for x, y in zip(xs, ys)])
-    dz_dx = np.array([curve_zx.derivative_dy_dx(x, z) for x, z in zip(xs, zs)])
-    return dsig_dy * dy_dx + dsig_dz * dz_dx
+    return (dsig_dy * curve_xy.derivative_dy_dx(xs, ys)
+            + dsig_dz * curve_zx.derivative_dy_dx(xs, zs))
 

@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 
+from .pattern import tutte_layout
 from .realization import (VIEWPOINT_TOL, EuclideanRealization, GeodesicRealization,
                           _euclidean_circles, _tangent_frame)
 from .triangulation import AbstractTriangulation
@@ -128,23 +129,8 @@ def graph_svg(tri: AbstractTriangulation, highlight_cycle=()) -> str:
     pinned = {v: (np.cos(2 * np.pi * k / len(outer)),
                   np.sin(2 * np.pi * k / len(outer)))
               for k, v in enumerate(outer)}
-    inner = [v for v in tri.vertices if v not in pinned]
     flat = {v: np.asarray(p, float) for v, p in pinned.items()}
-    if inner:
-        pos_of = {v: i for i, v in enumerate(inner)}
-        L = np.zeros((len(inner), len(inner)))
-        b = np.zeros((len(inner), 2))
-        for i, v in enumerate(inner):
-            nbrs = tri.adjacency[v]
-            L[i, i] = len(nbrs)
-            for u in nbrs:
-                if u in pos_of:
-                    L[i, pos_of[u]] -= 1.0
-                else:
-                    b[i] += pinned[u]
-        sol = np.linalg.solve(L, b)
-        for v, i in pos_of.items():
-            flat[v] = sol[i]
+    flat.update(tutte_layout(tri, pinned))
     f = _fit(list(flat.values()))
     cyc = list(highlight_cycle)
     red = {frozenset((cyc[i], cyc[(i + 1) % len(cyc)])) for i in range(len(cyc))} if cyc else set()

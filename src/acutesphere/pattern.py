@@ -140,22 +140,25 @@ def levenberg_marquardt(problem, theta0, tol=1e-13, max_iter=400):
 # -- initialization ----------------------------------------------------------
 
 
-def link_cycle(tri: AbstractTriangulation, v) -> list:
-    """Neighbors of an interior vertex in cyclic link order."""
-    nbr_edges = {}
-    for f in tri.faces:
-        if v in f:
-            u, w = [x for x in f if x != v]
-            nbr_edges.setdefault(u, []).append(w)
-            nbr_edges.setdefault(w, []).append(u)
-    start = next(iter(nbr_edges))
-    cycle = [start]
-    prev, cur = start, nbr_edges[start][0]
-    while cur != start:
-        cycle.append(cur)
-        ns = nbr_edges[cur]
-        prev, cur = cur, (ns[1] if ns[0] == prev else ns[0])
-    return cycle
+def tutte_layout(tri: AbstractTriangulation, pinned: dict, removed=None) -> dict:
+    """Plane positions of the vertices neither in ``pinned`` (vertex -> xy)
+    nor ``removed``: each the mean of its neighbours other than ``removed``,
+    from one solve of the graph Laplacian."""
+    inner = [v for v in tri.vertices if v != removed and v not in pinned]
+    if not inner:
+        return {}
+    pos_of = {v: i for i, v in enumerate(inner)}
+    L = np.zeros((len(inner), len(inner)))
+    b = np.zeros((len(inner), 2))
+    for i, v in enumerate(inner):
+        nbrs = [u for u in tri.adjacency[v] if u != removed]
+        L[i, i] = len(nbrs)
+        for u in nbrs:
+            if u in pos_of:
+                L[i, pos_of[u]] -= 1.0
+            else:
+                b[i] += pinned[u]
+    return dict(zip(inner, np.linalg.solve(L, b)))
 
 
 def tutte_sphere_init(tri: AbstractTriangulation, pole_vertex, rng) -> np.ndarray:
@@ -163,30 +166,13 @@ def tutte_sphere_init(tri: AbstractTriangulation, pole_vertex, rng) -> np.ndarra
     vertex, pinned on its link circle, lifted by inverse stereographic
     projection with the removed vertex at the north pole."""
     idx = {v: i for i, v in enumerate(tri.vertices)}
-    n = len(tri.vertices)
-    ring = link_cycle(tri, pole_vertex)
+    ring = tri.link_cycle(pole_vertex)
     pinned = {w: (math.cos(2 * math.pi * k / len(ring)),
                   math.sin(2 * math.pi * k / len(ring)))
               for k, w in enumerate(ring)}
-    inner = [v for v in tri.vertices if v != pole_vertex and v not in pinned]
-    plane = np.zeros((n, 2))
-    if inner:
-        pos_of = {v: i for i, v in enumerate(inner)}
-        L = np.zeros((len(inner), len(inner)))
-        b = np.zeros((len(inner), 2))
-        for i, v in enumerate(inner):
-            nbrs = [u for u in tri.adjacency[v] if u != pole_vertex]
-            L[i, i] = len(nbrs)
-            for u in nbrs:
-                if u in pos_of:
-                    L[i, pos_of[u]] -= 1.0
-                else:
-                    b[i] += pinned[u]
-        sol = np.linalg.solve(L, b)
-        for v, i in pos_of.items():
-            plane[idx[v]] = sol[i]
-    for w, p in pinned.items():
-        plane[idx[w]] = p
+    plane = np.zeros((len(tri.vertices), 2))
+    for v, p in {**tutte_layout(tri, pinned, pole_vertex), **pinned}.items():
+        plane[idx[v]] = p
 
     norms = np.linalg.norm(plane, axis=1)
     scale = 1.0 / max(1e-9, np.median(norms[norms > 1e-12]))

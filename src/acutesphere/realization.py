@@ -25,10 +25,9 @@ from .pattern import solve_pattern, tutte_sphere_init
 from .spherical import (polar_dual, slimmer, spherical_distance, triangle_from_points,
                         triangle_pqr)
 from .triangulation import (AbstractTriangulation, CycleWitness, EdgeLabeling,
-                            coxeter_face_finite, first_obstruction,
+                            acute_obstruction, coxeter_face_finite,
                             ideal_allright_conditions, is_flag_no_separating_square,
-                            is_flag_no_square, low_degree_interior_vertices,
-                            maehara_cap)
+                            is_flag_no_square, maehara_cap)
 
 
 POSITION_TOL = 1e-12       # |norm - 1| of a vertex position
@@ -283,28 +282,19 @@ def realize_sphere(tri: AbstractTriangulation, seed: int = 0, tol: float = 1e-11
                    max_starts: int = 8) -> RealizationResult:
     """Realize a triangulation as an acute geodesic triangulation of S^2.
 
-    Closed inputs must be flag no-square, planar inputs
-    flag-no-separating-square; otherwise CombinatorialRefusal carries the
-    obstruction witness.  The returned realization restricts to the input
-    triangulation; the full capped pattern is kept alongside for projection.
+    An input that ``acute_obstruction`` rejects raises CombinatorialRefusal
+    with its reason and witness.  The returned realization restricts to the
+    input triangulation; the full capped pattern is kept alongside for
+    projection.
     """
+    obstruction = acute_obstruction(tri)
+    if obstruction:
+        raise CombinatorialRefusal(*obstruction)
     if tri.is_closed:
-        if not is_flag_no_square(tri):
-            raise CombinatorialRefusal(
-                "not flag no-square; no acute realization exists", first_obstruction(tri))
         capping = None
         closed = tri
         hubs = ()
     else:
-        if not is_flag_no_separating_square(tri):
-            raise CombinatorialRefusal(
-                "not flag-no-separating-square; no acute realization exists",
-                first_obstruction(tri))
-        low = low_degree_interior_vertices(tri)
-        if low:
-            raise CombinatorialRefusal(
-                f"interior vertex {low[0]!r} has degree {tri.degree(low[0])}; "
-                "the 2 pi angle sum forces a non-acute corner there", None)
         capping = glue_caps(tri)
         closed = capping.closed
         hubs = capping.hub_vertices

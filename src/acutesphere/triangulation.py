@@ -115,64 +115,44 @@ class AbstractTriangulation:
     # -- validation -----------------------------------------------------
 
     def _check_links(self):
-        link_edges: dict = {v: [] for v in self.vertices}
+        """Each vertex's link must be one cycle (interior vertex) or one path
+        (boundary vertex); the walk of each link cycle is kept for
+        ``link_cycle``.  A link vertex u of v has one link edge per face on
+        the edge vu, so the non-manifold-edge check bounds its degree by two."""
+        links: dict = {v: {} for v in self.vertices}
         for f in self.faces:
             for v in f:
                 u, w = [x for x in f if x != v]
-                link_edges[v].append((u, w))
-        for v, pairs in link_edges.items():
-            if not pairs:
+                link = links[v]
+                link.setdefault(u, []).append(w)
+                link.setdefault(w, []).append(u)
+        self._link_cycles = {}
+        for v, link in links.items():
+            if not link:
                 raise ValidationError(f"isolated vertex {v!r}")
-            deg: dict = {}
-            for u, w in pairs:
-                deg[u] = deg.get(u, 0) + 1
-                deg[w] = deg.get(w, 0) + 1
-            odd = [u for u, d in deg.items() if d == 1]
-            if any(d > 2 for d in deg.values()):
-                raise ValidationError(f"link of vertex {v!r} is not a simple cycle or path")
-            if len(odd) not in (0, 2):
+            ends = [u for u, ns in link.items() if len(ns) == 1]
+            if len(ends) not in (0, 2):
                 raise ValidationError(f"link of vertex {v!r} is not a single cycle or path")
-            # single component: walk the link
-            adj: dict = {}
-            for u, w in pairs:
-                adj.setdefault(u, []).append(w)
-                adj.setdefault(w, []).append(u)
-            start = odd[0] if odd else pairs[0][0]
-            seen = {start}
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            if len(seen) != len(deg):
+            walk = _walk(link, ends[0] if ends else next(iter(link)))
+            if len(walk) != len(link):
                 raise ValidationError(f"link of vertex {v!r} is disconnected")
+            if not ends:
+                self._link_cycles[v] = tuple(walk)
 
     def _trace_boundary(self):
-        if not self.boundary_edges:
-            return ()
+        # each boundary vertex has two boundary edges: those to its link's ends
         nbr: dict = {}
         for e in self.boundary_edges:
             u, v = tuple(e)
             nbr.setdefault(u, []).append(v)
             nbr.setdefault(v, []).append(u)
-        for v, ns in nbr.items():
-            if len(ns) != 2:
-                raise ValidationError(f"boundary vertex {v!r} has {len(ns)} boundary edges")
         cycles = []
         visited: set = set()
         for start in sorted(nbr):
-            if start in visited:
-                continue
-            cycle = [start]
-            prev, cur = start, nbr[start][0]
-            while cur != start:
-                cycle.append(cur)
-                ns = nbr[cur]
-                prev, cur = cur, (ns[1] if ns[0] == prev else ns[0])
-            visited.update(cycle)
-            cycles.append(canonical_cycle(cycle))
+            if start not in visited:
+                cycle = _walk(nbr, start)
+                visited.update(cycle)
+                cycles.append(canonical_cycle(cycle))
         return tuple(sorted(cycles))
 
     def _check_euler_and_connectivity(self):
@@ -201,6 +181,12 @@ class AbstractTriangulation:
 
     def degree(self, v) -> int:
         return len(self.adjacency[v])
+
+    def link_cycle(self, v) -> tuple:
+        """Neighbours of an interior vertex in cyclic link order: from the
+        first neighbour met in face order, towards the other vertex of that
+        first face."""
+        return self._link_cycles[v]
 
     def has_edge(self, u, v) -> bool:
         return _edge(u, v) in self.edges
@@ -265,6 +251,22 @@ class AbstractTriangulation:
         kind = "closed" if self.is_closed else f"{len(self.boundary_cycles)}-boundary"
         return (f"AbstractTriangulation({len(self.vertices)} vertices, "
                 f"{len(self.edges)} edges, {len(self.faces)} faces, {kind})")
+
+
+def _walk(adj, start) -> list:
+    """The vertices of the component of ``start`` in a graph of degree at
+    most two (``adj`` maps each vertex to its neighbour list), in walking
+    order from ``start`` towards ``adj[start][0]``; ``start`` must be an end
+    if the component is a path."""
+    walk = [start]
+    prev, cur = start, adj[start][0]
+    while cur != start:
+        walk.append(cur)
+        ns = adj[cur]
+        if len(ns) == 1:
+            break
+        prev, cur = cur, (ns[1] if ns[0] == prev else ns[0])
+    return walk
 
 
 def canonical_cycle(cycle: Sequence[str]) -> tuple:
@@ -456,7 +458,7 @@ def _face_graph(tri: AbstractTriangulation):
 
 def _region_interiors(tri: AbstractTriangulation, cycle):
     """Interior-vertex sets of the regions the cycle's edges cut the faces
-    into, nonempty ones only, as unordered sets.
+    into, nonempty ones only, each an unordered tuple, in no fixed order.
 
     One search starts from each face on a cycle edge.  The searches grow one
     face each in turn; two that meet merge (the faces of one are relabelled
@@ -514,11 +516,12 @@ def _region_interiors(tri: AbstractTriangulation, cycle):
     faces = tri.faces
     interiors = [{v for f in members[s] for v in faces[f]} - on_cycle for s in finished]
     interiors.append(set(tri.vertices).difference(on_cycle, *interiors))
-    return [interior for interior in interiors if interior]
+    return tuple(tuple(interior) for interior in interiors if interior)
 
 
-def _sorted_interiors(interiors):
-    return tuple(sorted(tuple(sorted(interior)) for interior in interiors))
+def _regions(tri: AbstractTriangulation, cycle):
+    """``_region_interiors`` of the cycle, searched once per triangulation."""
+    return _cached(tri, ("regions", tuple(cycle)), lambda: _region_interiors(tri, cycle))
 
 
 # -- predicates ----------------------------------------------------------
@@ -527,24 +530,24 @@ def _sorted_interiors(interiors):
 def is_flag(tri: AbstractTriangulation) -> bool:
     """True iff every 3-clique of the edge graph bounds a face and the graph
     has no 4-clique (which could span no simplex in a 2-complex)."""
-    if empty_three_cycles(tri):
-        return False
-    return not four_cliques(tri)
+    return _cached(tri, "is_flag",
+                   lambda: not empty_three_cycles(tri) and not four_cliques(tri))
 
 
 def has_chordless_square(tri: AbstractTriangulation) -> Optional[CycleWitness]:
-    for c in four_cycles(tri):
-        if not has_chord(tri, c):
-            return CycleWitness(cycle=c, kind="chordless-4-cycle")
-    return None
+    """The first chordless 4-cycle, as a witness, or None."""
+    return _cached(tri, "chordless_square", lambda: next(
+        (CycleWitness(cycle=c, kind="chordless-4-cycle")
+         for c in four_cycles(tri) if not has_chord(tri, c)), None))
 
 
 def separating_interiors(tri: AbstractTriangulation, cycle):
     """Interior-vertex sets of the regions cut out by a cycle (removing its
     edges from the face-adjacency graph), nonempty ones only, each a sorted
     tuple, in sorted order.  The cycle separates exactly when two or more
-    regions contain a vertex not on the cycle."""
-    return _sorted_interiors(_region_interiors(tri, cycle))
+    regions contain a vertex not on the cycle.  Each cycle is searched once
+    per triangulation; later calls sort the stored regions."""
+    return tuple(sorted(tuple(sorted(interior)) for interior in _regions(tri, cycle)))
 
 
 def _bounds_faces(tri: AbstractTriangulation, cycle, boundary) -> bool:
@@ -567,21 +570,18 @@ def _bounds_faces(tri: AbstractTriangulation, cycle, boundary) -> bool:
             or (tri.is_face(x, u, y) and tri.is_face(x, v, y)))
 
 
+def _separates(tri: AbstractTriangulation, cycle, boundary) -> bool:
+    return not _bounds_faces(tri, cycle, boundary) and len(_regions(tri, cycle)) >= 2
+
+
 def separating_cycles(tri: AbstractTriangulation):
     """All 3- and 4-cycles that cut the surface into two or more regions each
     containing at least one vertex off the cycle."""
     boundary = tri.boundary_vertices()
-    out = []
-    for kind, cycles in (("separating-3-cycle", triangles_of_graph(tri)),
-                         ("separating-4-cycle", four_cycles(tri))):
-        for c in cycles:
-            if _bounds_faces(tri, c, boundary):
-                continue
-            regions = _region_interiors(tri, c)
-            if len(regions) >= 2:
-                out.append(CycleWitness(cycle=c, kind=kind,
-                                        components=_sorted_interiors(regions)))
-    return out
+    return [CycleWitness(cycle=c, kind=kind, components=separating_interiors(tri, c))
+            for kind, cycles in (("separating-3-cycle", triangles_of_graph(tri)),
+                                 ("separating-4-cycle", four_cycles(tri)))
+            for c in cycles if _separates(tri, c, boundary)]
 
 
 def is_flag_no_square(tri: AbstractTriangulation) -> bool:
@@ -594,15 +594,8 @@ def is_flag_no_square(tri: AbstractTriangulation) -> bool:
 
 def is_flag_no_separating_square(tri: AbstractTriangulation) -> bool:
     """Flag and no separating 4-cycle (closed or planar input)."""
-    if not is_flag(tri):
-        return False
     boundary = tri.boundary_vertices()
-    for c in four_cycles(tri):
-        if _bounds_faces(tri, c, boundary):
-            continue
-        if len(_region_interiors(tri, c)) >= 2:
-            return False
-    return True
+    return is_flag(tri) and not any(_separates(tri, c, boundary) for c in four_cycles(tri))
 
 
 def low_degree_interior_vertices(tri: AbstractTriangulation):
@@ -628,21 +621,43 @@ def first_obstruction(tri: AbstractTriangulation) -> Optional[CycleWitness]:
     empty = empty_three_cycles(tri)
     if empty:
         t = empty[0]
-        comps = separating_interiors(tri, t)
-        if len(comps) >= 2:
-            return CycleWitness(cycle=t, kind="separating-3-cycle", components=comps)
+        if len(_regions(tri, t)) >= 2:
+            return CycleWitness(cycle=t, kind="separating-3-cycle",
+                                components=separating_interiors(tri, t))
         return CycleWitness(cycle=t, kind="empty-3-cycle")
     for c in four_cycles(tri):
         if has_chord(tri, c):
             continue
-        comps = separating_interiors(tri, c)
-        if len(comps) >= 2:
-            return CycleWitness(cycle=c, kind="separating-4-cycle", components=comps)
+        if len(_regions(tri, c)) >= 2:
+            return CycleWitness(cycle=c, kind="separating-4-cycle",
+                                components=separating_interiors(tri, c))
         if tri.is_closed:
             return CycleWitness(cycle=c, kind="chordless-4-cycle")
     cliques = four_cliques(tri)
     if cliques:
         return CycleWitness(cycle=cliques[0], kind="four-clique")
+    return None
+
+
+def acute_obstruction(tri: AbstractTriangulation) -> Optional[tuple]:
+    """Why no acute realization exists, as (reason, witness), or None.
+
+    The combinatorial criterion: flag no-square for closed input; for planar
+    input flag-no-separating-square and no interior vertex of degree at most
+    four.  The witness is ``first_obstruction``'s, or None for a low-degree
+    vertex.
+    """
+    if tri.is_closed:
+        if is_flag_no_square(tri):
+            return None
+        return "not flag no-square; no acute realization exists", first_obstruction(tri)
+    if not is_flag_no_separating_square(tri):
+        return ("not flag-no-separating-square; no acute realization exists",
+                first_obstruction(tri))
+    low = low_degree_interior_vertices(tri)
+    if low:
+        return (f"interior vertex {low[0]!r} has degree {tri.degree(low[0])}; "
+                "the 2 pi angle sum forces a non-acute corner there", None)
     return None
 
 
@@ -825,11 +840,9 @@ def ideal_allright_conditions(tri: AbstractTriangulation) -> bool:
         raise ValidationError("ideal_allright_conditions expects a closed triangulation")
     if not is_flag(tri):
         raise ValidationError("ideal_allright_conditions expects a flag triangulation")
-    for c in four_cycles(tri):
-        if has_chord(tri, c):
-            continue
-        if not any(len(interior) == 1 for interior in separating_interiors(tri, c)):
-            return False
+    if not all(any(len(interior) == 1 for interior in _regions(tri, c))
+               for c in four_cycles(tri) if not has_chord(tri, c)):
+        return False
     deg4 = [v for v in tri.vertices if tri.degree(v) == 4]
     for u, v in combinations(deg4, 2):
         if tri.has_edge(u, v):

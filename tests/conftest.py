@@ -50,6 +50,26 @@ def random_flips(tri, rng, count, keep=None):
     return tri
 
 
+def reference_link_cycle(tri, v):
+    """Face-scan oracle of ``AbstractTriangulation.link_cycle``: the link
+    edges of ``v`` gathered from every face in face order, then walked from
+    the first neighbour met."""
+    nbr_edges = {}
+    for f in tri.faces:
+        if v in f:
+            u, w = [x for x in f if x != v]
+            nbr_edges.setdefault(u, []).append(w)
+            nbr_edges.setdefault(w, []).append(u)
+    start = next(iter(nbr_edges))
+    cycle = [start]
+    prev, cur = start, nbr_edges[start][0]
+    while cur != start:
+        cycle.append(cur)
+        ns = nbr_edges[cur]
+        prev, cur = cur, (ns[1] if ns[0] == prev else ns[0])
+    return tuple(cycle)
+
+
 def cycle_sides(tri, cycle):
     """Flood-fill oracle for the region search: split the faces along an
     embedded cycle.

@@ -83,7 +83,8 @@ def test_realize_positions_independent_of_hash_seed():
 def test_check_enumerates_cycles_once(capsys, monkeypatch):
     # has_chordless_square, separating_cycles, ideal_allright_conditions and
     # first_obstruction all read the cycles cached on the one triangulation,
-    # and both is_flag calls and cmd_check read its cached 4-cliques
+    # and both is_flag calls and cmd_check read its cached 4-cliques; each
+    # cycle gets at most one region search, whichever predicates ask for it
     calls = []
     names = ("_enumerate_four_cliques", "_enumerate_four_cycles", "_enumerate_triangles")
     for name in names:
@@ -91,10 +92,21 @@ def test_check_enumerates_cycles_once(capsys, monkeypatch):
             calls.append(name)
             return worker(tri)
         monkeypatch.setattr(triangulation, name, counted)
-    for fixture in ("icosahedron", "square_disk_a_double", "maehara_cap_8"):
+    searched = []
+
+    def region_search(tri, cycle, worker=triangulation._region_interiors):
+        searched.append(tuple(cycle))
+        return worker(tri, cycle)
+
+    monkeypatch.setattr(triangulation, "_region_interiors", region_search)
+    for fixture in ("icosahedron", "octahedron", "square_disk_a_double", "maehara_cap_8"):
         calls.clear()
+        searched.clear()
         run(capsys, ["check", fixture_file(fixture), "--labels"])
         assert sorted(calls) == list(names), fixture
+        assert len(set(searched)) == len(searched), fixture
+        if fixture in ("octahedron", "square_disk_a_double"):
+            assert searched, fixture
 
 
 def test_check_planar_verdict_matches_predicate(tmp_path, capsys):
@@ -168,6 +180,27 @@ def test_realize_refusal_exit_code(capsys):
     assert code == 1
     assert not report["verdicts"]["realized"]
     assert report["witnesses"]
+
+
+@pytest.mark.parametrize("command", ["check", "realize"])
+def test_obstruction_svg_draws_the_witness(tmp_path, capsys, command):
+    code, report, _ = run(capsys, [command, fixture_file("octahedron"), "--out", str(tmp_path)])
+    assert code == 1
+    cycle = report["witnesses"][0]["cycle"]
+    svg = (tmp_path / "obstruction.svg").read_text()
+    red_edges = [line for line in svg.splitlines()
+                 if line.startswith("<line") and 'stroke="red"' in line]
+    red_vertices = [line for line in svg.splitlines()
+                    if line.startswith("<circle") and 'fill="red"' in line]
+    assert len(red_edges) == len(cycle) == len(red_vertices) == 4
+
+
+def test_removed_options_are_rejected(capsys):
+    for argv in (["check", fixture_file("octahedron"), "--format", "svg"],
+                 ["invariants", fixture_file("icosahedron"), "--out", "unused"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_realize_planar_euclidean_export(tmp_path, capsys):
@@ -299,12 +332,18 @@ def test_construct_cap_too_small(capsys):
 
 def test_check_and_realize_agree_on_verdicts(capsys):
     # the combinatorial checker and the realizer never disagree, over the
-    # whole shipped corpus
+    # whole shipped corpus: both read one verdict, so an obstructed input
+    # gets the same first witness, or the same reason when there is none
     for name in fixtures.FIXTURE_NAMES:
         path = fixture_file(name)
-        check_code, _, _ = run(capsys, ["check", path])
-        realize_code, _, _ = run(capsys, ["realize", path, "--seed", "0"])
+        check_code, check, check_err = run(capsys, ["check", path])
+        realize_code, real, _ = run(capsys, ["realize", path, "--seed", "0"])
         assert (check_code == 0) == (realize_code == 0), name
+        if realize_code:
+            if real["witnesses"]:
+                assert check["witnesses"][0] == real["witnesses"][0], name
+            else:
+                assert real["verdicts"]["refusal"] in check_err, name
 
 
 def test_check_and_realize_agree_on_flip_walks(tmp_path, capsys):

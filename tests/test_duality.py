@@ -21,6 +21,16 @@ def closed_form_p2(R):
     return (math.sqrt(cb * cc / ca), math.sqrt(cc * ca / cb), math.sqrt(ca * cb / cc))
 
 
+def scalar_derivatives(curve, x, y):
+    """The scalar math-module forms of ``SigmaCurve._dy`` (d sigma/dy) and
+    ``derivative_dy_dx``, kept as the oracle of their array forms."""
+    sx = math.sqrt(max(1e-300, 1.0 - x * x))
+    sy = math.sqrt(max(1e-300, 1.0 - y * y))
+    cg = math.cos(curve.gamma)
+    return (-cg * y * sx / sy - x,
+            -(y + x * sy * cg / sx) / (x + y * sx * cg / sy))
+
+
 def test_sigma_vanishes_at_curve_corner(rng):
     for _ in range(100):
         c = rng.uniform(0.1, math.pi - 0.2)
@@ -98,6 +108,12 @@ def test_curve_monotone_decreasing(rng):
         assert np.all(np.diff(ys) < 0)
         for x, y in zip(xs[::100], ys[::100]):
             assert curve.derivative_dy_dx(float(x), float(y)) < 0
+        # the array forms round exactly as the scalar ones, element by element
+        dy, slope = np.array([scalar_derivatives(curve, float(x), float(y))
+                              for x, y in zip(xs, ys)]).T
+        assert np.array_equal(curve._dy(xs, ys), dy)
+        assert np.array_equal(curve.derivative_dy_dx(xs, ys), slope)
+        assert type(curve.derivative_dy_dx(float(xs[0]), float(ys[0]))) is float
 
 
 def test_curve_domain_obtuse_c():

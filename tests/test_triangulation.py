@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -16,7 +17,7 @@ from acutesphere.triangulation import (
     is_flag_no_separating_square, is_flag_no_square, itoh_face_predicate,
     maehara_cap, parse_document, separating_cycles, separating_interiors, serialize,
     square_wheel, triangles_of_graph)
-from conftest import cycle_sides, random_flips
+from conftest import cycle_sides, random_flips, reference_link_cycle
 
 
 # -- independent brute-force oracles ----------------------------------------
@@ -211,6 +212,51 @@ def test_parse_rejects_nonmanifold_edge():
            "faces": [["a", "b", "c"], ["a", "b", "d"], ["a", "b", "e"]]}
     with pytest.raises(ValidationError, match="non-manifold edge"):
         parse_document(json.dumps(doc))
+
+
+def _octahedron(prefix, apex):
+    """Faces of an octahedron with poles ``apex`` and ``prefix + "s"``."""
+    ring = [f"{prefix}{k}" for k in range(4)]
+    return [(pole, ring[k], ring[(k + 1) % 4]) for pole in (apex, prefix + "s")
+            for k in range(4)]
+
+
+def _with_vertices(faces):
+    return sorted({v for f in faces for v in f}), faces
+
+
+# the seven-vertex torus: faces {i, i+1, i+3} and {i, i+2, i+3} mod 7
+_TORUS7 = [(str(i), str((i + d) % 7), str((i + 3) % 7)) for i in range(7) for d in (1, 2)]
+
+
+@pytest.mark.parametrize("vertices, faces, message", [
+    (["a", "b", "c", "d"], [("a", "b", "c")], "isolated vertex 'd'"),
+    (*_with_vertices([("v", "a", "b"), ("v", "c", "d")]),
+     "link of vertex 'v' is not a single cycle or path"),
+    (*_with_vertices(_octahedron("a", "v") + _octahedron("b", "v")),
+     "link of vertex 'v' is disconnected"),
+    (*_with_vertices(list(itertools.combinations("abcd", 3))
+                     + list(itertools.combinations("efgh", 3))),
+     "triangulation is not connected"),
+    (*_with_vertices(_TORUS7), "Euler characteristic 0, expected 2"),
+], ids=["isolated", "two-faces-at-a-vertex", "glued-octahedra", "disjoint-tetrahedra",
+        "torus"])
+def test_validator_rejects(vertices, faces, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        AbstractTriangulation(vertices, faces)
+
+
+def test_link_cycle_matches_face_scan(load):
+    rng = random.Random(20261021)
+    corpus = [load(name) for name in fixtures.FIXTURE_NAMES]
+    for n in (5, 8, 12, 20):
+        corpus += [maehara_cap(n), double(maehara_cap(n))]
+    corpus += [random_flips(double(maehara_cap(8)), rng, rng.randint(1, 12)) for _ in range(12)]
+    for tri in corpus:
+        interior = [v for v in tri.vertices if v not in tri.boundary_vertices()]
+        assert interior, tri
+        for v in interior:
+            assert tri.link_cycle(v) == reference_link_cycle(tri, v), (tri, v)
 
 
 def test_parse_rejects_malformed_json():
