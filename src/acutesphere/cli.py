@@ -314,11 +314,13 @@ def build_parser():
 
     def common(p, writes_files=True):
         p.add_argument("path", help="triangulation JSON file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-11)
         if writes_files:
             p.add_argument("--out", default=None,
                            help="output directory (obstruction.svg on an obstruction)")
+
+    def solver(p):
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--tol", type=float, default=1e-11)
 
     p = sub.add_parser("check", help="combinatorial battery and realizability verdict")
     common(p)
@@ -328,6 +330,7 @@ def build_parser():
 
     p = sub.add_parser("realize", help="acute realization via circle patterns")
     common(p)
+    solver(p)
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("dual", help="hyperbolic duality solver")
@@ -339,6 +342,7 @@ def build_parser():
 
     p = sub.add_parser("invariants", help="alpha and beta invariants")
     common(p, writes_files=False)
+    solver(p)
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("construct", help="emit cap/wheel/double/flip constructions")

@@ -40,16 +40,13 @@ def sigma(c: float, gamma: float, x, y):
 
 def foot_parameter(a: float) -> float:
     """Poincare radius OH = sec(a) - tan(a) of the perpendicular foot dropped
-    from an ideal point at visual angle a onto the opposite ray.
-
-    Checks the defining identity 2 / (OH + 1/OH) = cos(a) before returning.
+    from an ideal point at visual angle a onto the opposite ray, evaluated
+    as cos(a) / (1 + sin(a)), which does not cancel as a approaches pi/2.
+    It satisfies 2 / (OH + 1/OH) = cos(a).
     """
     if not (0.0 < a < math.pi / 2):
         raise GeometryError(f"angle must lie in (0, pi/2), got {a!r}")
-    oh = 1.0 / math.cos(a) - math.tan(a)
-    if abs(2.0 / (oh + 1.0 / oh) - math.cos(a)) > 1e-12:
-        raise GeometryError(f"foot-parameter identity failed at a={a!r}")
-    return oh
+    return math.cos(a) / (1.0 + math.sin(a))
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,7 @@ def to_off(real: GeodesicRealization) -> str:
     for v in tri.vertices:
         p = real.positions[v]
         lines.append(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}")
-    try:
-        faces = real.parent.oriented_faces()
-    except Exception:
-        faces = [tuple(f) for f in tri.faces]
-    for f in faces:
+    for f in tri.oriented_faces():
         lines.append("3 " + " ".join(str(index[v]) for v in f))
     return "\n".join(lines) + "\n"
 

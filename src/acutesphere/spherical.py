@@ -132,9 +132,6 @@ class SphericalTriangle:
         return SphericalTriangle(angles["A"], angles["B"], angles["C"],
                                  sides["A"], sides["B"], sides["C"])
 
-    def is_equilateral(self, tol=1e-12) -> bool:
-        return abs(self.A - self.B) < tol and abs(self.B - self.C) < tol
-
 
 def from_sides(a: float, b: float, c: float) -> SphericalTriangle:
     """Triangle from side lengths via cos A = (cos a - cos b cos c)/(sin b sin c)."""

@@ -7,7 +7,7 @@ import pytest
 from acutesphere import fixtures as fixture_registry
 from acutesphere.errors import (GeometryError, InternalInconsistency, SolveError,
                                ValidationError)
-from acutesphere.klein import CUBE_EDGES, LINK_TOL, SlantedCubeModel, boost_to, lift, mdot
+from acutesphere.klein import CUBE_EDGES, SlantedCubeModel, boost_to, lift, mdot
 from acutesphere.spherical import from_angles, from_sides, place_triangle
 from acutesphere.triangulation import diagonal_flip
 
@@ -116,10 +116,17 @@ def plane_normal(n, d):
     return np.concatenate(([d], n)) / math.sqrt(s)
 
 
+# how far a reference cube's equatorial dihedrals may be off pi/2 and its
+# link angles off the witness's
+LINK_TOL = 1e-8
+
+
 def reference_slanted_cube(witness):
     """The one-cube builder that ``klein.slanted_cubes`` batched, kept as its
     oracle: the feet along ``place_triangle(witness.R)``, each remaining
-    vertex from its own solve, and the same checks, one cube at a time."""
+    vertex from its own solve, and every check of the cube, one cube at a
+    time: the Klein ball, convexity, the six right equatorial dihedrals and
+    both links against the witness."""
     R = witness.R
     T = witness.target
     uX, uY, uZ = place_triangle(R)

@@ -197,7 +197,9 @@ def test_obstruction_svg_draws_the_witness(tmp_path, capsys, command):
 
 def test_removed_options_are_rejected(capsys):
     for argv in (["check", fixture_file("octahedron"), "--format", "svg"],
-                 ["invariants", fixture_file("icosahedron"), "--out", "unused"]):
+                 ["invariants", fixture_file("icosahedron"), "--out", "unused"],
+                 ["check", fixture_file("octahedron"), "--seed", "1"],
+                 ["check", fixture_file("octahedron"), "--tol", "1e-9"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -65,6 +65,13 @@ def test_foot_parameter_values():
     # limit consistency toward a -> 0: OH -> 1 and the identity gives cos 0 = 1
     oh_small = foot_parameter(1e-8)
     assert oh_small == pytest.approx(1.0, abs=1e-7)
+    # toward a -> pi/2, where sec(a) - tan(a) cancels: OH -> 0 and the
+    # identity holds to the last bits of cos(a)
+    for k in range(1, 13):
+        a = math.pi / 2 - 10.0 ** -k
+        oh = foot_parameter(a)
+        assert 0 < oh < 1
+        assert 2 / (oh + 1 / oh) == pytest.approx(math.cos(a), rel=1e-15)
     with pytest.raises(GeometryError):
         foot_parameter(math.pi / 2)
 

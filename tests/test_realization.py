@@ -20,7 +20,8 @@ from acutesphere.realization import (VIEWPOINT_TOL, CombinatorialRefusal, Geodes
                                      project_euclidean, realize_sphere, verify_acute,
                                      verify_coinciding_perpendiculars)
 from acutesphere.spherical import corner_angle, perpendicular_foot, spherical_distance
-from acutesphere.triangulation import (EdgeLabeling, double, ideal_allright_conditions,
+from acutesphere.triangulation import (AbstractTriangulation, EdgeLabeling, double,
+                                       ideal_allright_conditions, is_flag_no_separating_square,
                                        is_flag_no_square, maehara_cap)
 
 from conftest import (reference_euclidean_circle, reference_initial_radii, reference_jacobian,
@@ -229,6 +230,22 @@ def test_glue_caps_structure(load):
     info2 = glue_caps(load("square_disk_a"))
     assert len(info2.hub_vertices) == 1
     assert not info2.cap_centers
+
+
+def test_capping_keeps_planar_fixtures_square_free(load):
+    # before the square wheels go on, the capped complex of each planar
+    # fixture is still flag-no-separating-square, with only squares left on
+    # its boundary
+    for name in fixtures.FIXTURE_NAMES:
+        tri = load(name)
+        if tri.is_closed:
+            continue
+        info = glue_caps(tri)
+        hubs = set(info.hub_vertices)
+        partial = AbstractTriangulation([v for v in info.closed.vertices if v not in hubs],
+                                        [f for f in info.closed.faces if hubs.isdisjoint(f)])
+        assert is_flag_no_separating_square(partial), name
+        assert all(len(c) == 4 for c in partial.boundary_cycles), name
 
 
 def test_alpha_icosahedron(load):

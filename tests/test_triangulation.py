@@ -259,6 +259,34 @@ def test_link_cycle_matches_face_scan(load):
             assert tri.link_cycle(v) == reference_link_cycle(tri, v), (tri, v)
 
 
+def test_oriented_faces_use_each_directed_edge_once(load):
+    # a consistent orientation traverses each directed edge at most once,
+    # and on a closed surface every edge once in each direction
+    rng = random.Random(20261019)
+    corpus = [load(name) for name in fixtures.FIXTURE_NAMES]
+    for n in range(5, 13):
+        corpus += [maehara_cap(n), double(maehara_cap(n))]
+    corpus += [random_flips(double(maehara_cap(8)), rng, rng.randint(1, 12)) for _ in range(12)]
+    for tri in corpus:
+        oriented = tri.oriented_faces()
+        assert [set(f) for f in oriented] == [set(f) for f in tri.faces], tri
+        directed = [(f[i], f[(i + 1) % 3]) for f in oriented for i in range(3)]
+        assert len(set(directed)) == len(directed), tri
+        if tri.is_closed:
+            assert set(directed) == {d for e in tri.edges for d in (tuple(e), tuple(e)[::-1])}
+
+    # the OFF export lists exactly these faces, in this orientation
+    from acutesphere.exports import to_off
+    from acutesphere.realization import GeodesicRealization
+    tri = load("icosahedron")
+    lines = to_off(GeodesicRealization(tri, dict.fromkeys(tri.vertices, (0.0, 0.0, 1.0)))).splitlines()
+    assert lines[1] == f"{len(tri.vertices)} {len(tri.faces)} {len(tri.edges)}"
+    faces = [tuple(tri.vertices[int(i)] for i in line.split()[1:])
+             for line in lines[2 + len(tri.vertices):]]
+    assert all(line.startswith("3 ") for line in lines[2 + len(tri.vertices):])
+    assert faces == list(tri.oriented_faces())
+
+
 def test_parse_rejects_malformed_json():
     with pytest.raises(ParseError):
         parse_document("{not json")
@@ -371,10 +399,10 @@ def test_double(load):
 
 
 def test_maehara_caps():
-    for n in range(5, 13):
+    for n in range(5, 41):
         cap = maehara_cap(n)
         assert len(cap.faces) == 9 * n
-        assert len(cap.boundary_cycles[0]) == n
+        assert [len(c) for c in cap.boundary_cycles] == [n]
         assert is_flag_no_separating_square(cap)
     with pytest.raises(ValidationError):
         maehara_cap(4)
