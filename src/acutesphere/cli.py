@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from . import exports
-from .duality import solve_dual_22p, solve_dual_general
+from .duality import solve_dual_general
 from .errors import AcuteSphereError, GeometryError, ParseError, ValidationError
 from .klein import beta, build_slanted_cube, volume
 from .realization import (CombinatorialRefusal, alpha_estimate, pattern_residuals,
@@ -201,25 +201,17 @@ def cmd_dual(args):
         a, b, c = _parse_triple(args.triangle)
         R = from_sides(a, b, c)
         if args.target_triangle:
-            A, B, C = _parse_triple(args.target_triangle)
-            target = from_angles(A, B, C)
-            result = solve_dual_general(R, target, grid_step=args.grid_step)
-            witness, certificate = result.witness, result.certificate
+            target = from_angles(*_parse_triple(args.target_triangle))
         else:
             p, q, r = _parse_triple(args.target, int)
-            if sorted((p, q, r))[:2] == [2, 2]:
-                apex = max((p, q, r))
-                witness = solve_dual_22p(R, apex)
-                certificate = None
-            else:
-                if not coxeter_face_finite(p, q, r):
-                    raise GeometryError(f"({p},{q},{r}) is not a spherical triangle")
-                result = solve_dual_general(R, triangle_pqr(p, q, r),
-                                            grid_step=args.grid_step)
-                witness, certificate = result.witness, result.certificate
+            if not coxeter_face_finite(p, q, r):
+                raise GeometryError(f"({p},{q},{r}) is not a spherical triangle")
+            target = triangle_pqr(p, q, r)
+        result = solve_dual_general(R, target)
     except (GeometryError, ValidationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    witness, certificate = result.witness, result.certificate
     verdicts = {"dual": witness is not None}
     if witness is not None:
         cube = build_slanted_cube(witness)
@@ -234,13 +226,8 @@ def cmd_dual(args):
                       f"z={witness.z:.12f}, volume {vol:.12f}")
         return EXIT_OK
     report = _report("dual", args, verdicts)
-    if certificate is None:
-        report["absence"] = {"reason": "slimmer-criterion",
-                             "detail": "not slimmer than the polar dual of the target"}
-        _emit(report, "no duality: slimmer criterion fails")
-    else:
-        report["absence"] = certificate.to_json()
-        _emit(report, f"no duality: certified absence ({certificate.reason})")
+    report["absence"] = certificate.to_json()
+    _emit(report, f"no duality: certified absence ({certificate.reason})")
     return EXIT_OBSTRUCTION
 
 
@@ -335,9 +322,9 @@ def build_parser():
 
     p = sub.add_parser("dual", help="hyperbolic duality solver")
     p.add_argument("--triangle", required=True, help="side lengths a,b,c")
-    p.add_argument("--target", default=None, help="Coxeter labels p,q,r")
+    p.add_argument("--target", default=None,
+                   help="Coxeter labels p,q,r: angles pi/p at A, pi/q at B, pi/r at C")
     p.add_argument("--target-triangle", default=None, help="target angles A,B,C")
-    p.add_argument("--grid-step", type=float, default=1e-4)
     p.set_defaults(func=cmd_dual)
 
     p = sub.add_parser("invariants", help="alpha and beta invariants")

@@ -25,7 +25,6 @@ from .spherical import (CORNERS, IDENTITY_MAP, CornerMap, SphericalTriangle,
                         triangle_pqr)
 
 SIGMA_RESIDUAL_TOL = 1e-10
-DEFAULT_GRID_STEP = 1e-4
 
 
 def sigma(c: float, gamma: float, x, y):
@@ -84,17 +83,18 @@ class SigmaCurve:
         return (0.0, hi)
 
     def solve_y(self, x: float) -> float:
-        """The unique y in (0, 1) with sigma(x, y) = 0."""
+        """The unique y in [0, 1] with sigma(x, y) = 0, for x in the closed
+        domain."""
         lo, hi = self.x_domain()
         if not (lo <= x <= hi):
             raise GeometryError(f"x={x!r} outside curve domain ({lo!r}, {hi!r})")
         f0, f1 = self(x, 0.0), self(x, 1.0)
-        if f0 == 0.0:
+        # inside the domain f0 >= 0 >= f1; a sign past zero is rounding at
+        # an end of the domain, where the root is that end
+        if f0 <= 0.0:
             return 0.0
-        if f1 == 0.0:
+        if f1 >= 0.0:
             return 1.0
-        if f0 < 0.0 or f1 > 0.0:
-            raise GeometryError(f"x={x!r} admits no root y in (0, 1)")
         from scipy.optimize import brentq
         y = brentq(lambda t: self(x, t), 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
         # Newton polish; d(sigma)/dy < 0 throughout
@@ -171,10 +171,6 @@ class DualityWitness:
             if not (0.0 < v < 1.0):
                 raise ValidationError(f"foot parameter {name}={v!r} outside (0, 1)")
 
-    def foot_distances(self) -> tuple:
-        """Hyperbolic distances d(O, X), d(O, Y), d(O, Z)."""
-        return tuple(math.atanh(t) for t in (self.x, self.y, self.z))
-
     def to_json(self):
         return {
             "x": self.x, "y": self.y, "z": self.z,
@@ -246,7 +242,7 @@ def solve_dual_22p(R: SphericalTriangle, p: int,
 
 @dataclass(frozen=True)
 class AbsenceCertificate:
-    """Resolution-certified report that a general duality system has no root.
+    """Certified report that a general duality system has no root.
 
     ``reason`` is one of:
       * ``necessary-condition``: R is not slimmer than the polar dual of the
@@ -254,9 +250,11 @@ class AbsenceCertificate:
       * ``empty-interval``: the feasible x-interval of the coupled curves is
         empty;
       * ``sign-constant``: the closing residual h(x) = sigma_a(y(x), z(x))
-        keeps one sign over the feasible interval, sampled at ``grid_step``;
-        h is strictly increasing in x (minimum sampled slope reported), so
-        the endpoint signs alone already exclude a root.
+        does not change sign between the two ends of the feasible interval;
+        h is strictly increasing in x (see ``solve_dual_general``), so the
+        end signs exclude a root exactly.  Nothing is sampled: ``grid_step``
+        reads 0.0, ``min_abs_residual`` is the smaller |h| at the two ends
+        (the minimum of a monotone h) and ``min_slope`` the smaller h' there.
     """
 
     reason: str
@@ -287,13 +285,20 @@ class DualSolveResult:
 
 
 def solve_dual_general(R: SphericalTriangle, target: SphericalTriangle,
-                       corner_map: CornerMap = IDENTITY_MAP,
-                       grid_step: float = DEFAULT_GRID_STEP) -> DualSolveResult:
+                       corner_map: CornerMap = IDENTITY_MAP) -> DualSolveResult:
     """Solve the full three-sigma duality system for an arbitrary target.
 
     Parametrizes x, reads y off the (c, C') curve and z off the (b, B')
-    curve, then root-finds the closing residual sigma_{a,A'}(y, z), which is
-    strictly increasing in x.  Returns a witness or a certified absence.
+    curve, and root-finds the closing residual h(x) = sigma_{a,A'}(y(x), z(x))
+    on the feasible interval [lo, hi].  Returns a witness or an exact
+    absence certificate.
+
+    h is strictly increasing.  With A' <= pi/2, sigma_{a,A'}(y, z) decreases
+    in each foot: its y-derivative is -cos(A') y sqrt(1-z^2)/sqrt(1-y^2) - z
+    < 0, and symmetrically in z.  y(x) and z(x) both decrease along their
+    curves, so h' = sigma_y y' + sigma_z z' > 0.  So h has at most one root,
+    and the signs of h(lo) and h(hi) decide: opposite signs bracket it, and
+    otherwise no root lies inside the interval.
 
     The sigma-curve characterization requires every target angle to be at
     most pi/2; obtuse targets raise GeometryError.
@@ -333,43 +338,25 @@ def solve_dual_general(R: SphericalTriangle, target: SphericalTriangle,
     def closing(xv: float) -> float:
         return curve_yz(curve_xy.solve_y(xv), curve_zx.solve_y(xv))
 
-    n = max(3, int(math.ceil((hi - lo) / grid_step)) + 1)
-    xs = np.linspace(lo, hi, n)
-    ys = curve_xy.solve_y_grid(xs)
-    zs = curve_zx.solve_y_grid(xs)
-    h = sigma(S.a, T.A, ys, zs)
-
-    sign_change = np.nonzero(np.diff(np.sign(h)) != 0)[0]
-    if sign_change.size == 0 and abs(h[0]) > 1e-13 and abs(h[-1]) > 1e-13:
-        # strictly increasing residual, one sign over the whole interval
-        slopes = _closing_slopes(curve_xy, curve_zx, S, T, xs, ys, zs)
+    ends = np.array([(curve_xy.solve_y(xv), curve_zx.solve_y(xv)) for xv in (lo, hi)])
+    h_lo, h_hi = (curve_yz(y, z) for y, z in ends)
+    if not h_lo < 0.0 < h_hi:
+        slopes = _closing_slopes(curve_xy, curve_zx, curve_yz, np.array([lo, hi]), *ends.T)
+        if min(abs(h_lo), abs(h_hi)) <= 1e-13:
+            # the residual only touches zero at the boundary of the feasible
+            # interval: the cube degenerates onto the ideal boundary there
+            detail = ("closing residual vanishes only at the boundary of the "
+                      "feasible interval (degenerate cube)")
+        else:
+            detail = (f"residual sign {int(np.sign(h_lo))} over the feasible interval; "
+                      "residual is strictly increasing in x")
         return DualSolveResult(None, AbsenceCertificate(
-            reason="sign-constant",
-            detail=(f"residual sign {int(np.sign(h[0]))} over the feasible interval; "
-                    "residual is strictly increasing in x"),
-            interval=(lo, hi), grid_step=float(xs[1] - xs[0]),
-            min_abs_residual=float(np.min(np.abs(h))),
-            residual_sign=int(np.sign(h[0])),
+            reason="sign-constant", detail=detail, interval=(lo, hi),
+            min_abs_residual=min(abs(h_lo), abs(h_hi)),
+            residual_sign=int(np.sign(h_lo + h_hi)),
             min_slope=float(np.min(slopes))))
-
-    if sign_change.size:
-        x_lo, x_hi = float(xs[sign_change[0]]), float(xs[sign_change[0] + 1])
-    elif min(abs(h[0]), abs(h[-1])) <= 1e-13:
-        # the residual only touches zero at the boundary of the feasible
-        # interval: the cube degenerates onto the ideal boundary there
-        slopes = _closing_slopes(curve_xy, curve_zx, S, T, xs, ys, zs)
-        return DualSolveResult(None, AbsenceCertificate(
-            reason="sign-constant",
-            detail=("closing residual vanishes only at the boundary of the "
-                    "feasible interval (degenerate cube)"),
-            interval=(lo, hi), grid_step=float(xs[1] - xs[0]),
-            min_abs_residual=float(np.min(np.abs(h))),
-            residual_sign=int(np.sign(h[0] if abs(h[0]) > abs(h[-1]) else h[-1])),
-            min_slope=float(np.min(slopes))))
-    else:
-        x_lo, x_hi = lo, hi
     from scipy.optimize import brentq
-    x0 = brentq(closing, x_lo, x_hi, xtol=1e-15, rtol=8.9e-16)
+    x0 = brentq(closing, lo, hi, xtol=1e-15, rtol=8.9e-16)
     y0 = curve_xy.solve_y(x0)
     z0 = curve_zx.solve_y(x0)
     res = _system_residuals(S, T, x0, y0, z0)
@@ -378,12 +365,7 @@ def solve_dual_general(R: SphericalTriangle, target: SphericalTriangle,
     return DualSolveResult(witness, None)
 
 
-def _closing_slopes(curve_xy, curve_zx, S, T, xs, ys, zs):
-    """d/dx of sigma_{a,A'}(y(x), z(x)) along the grid (positive)."""
-    sy, sz = _sines(ys), _sines(zs)
-    cg = math.cos(T.A)
-    dsig_dy = -cg * ys * sz / sy - zs
-    dsig_dz = -cg * zs * sy / sz - ys
-    return (dsig_dy * curve_xy.derivative_dy_dx(xs, ys)
-            + dsig_dz * curve_zx.derivative_dy_dx(xs, zs))
-
+def _closing_slopes(curve_xy, curve_zx, curve_yz, xs, ys, zs):
+    """d/dx of sigma_{a,A'}(y(x), z(x)) at the points xs (positive)."""
+    return (curve_yz._dy(zs, ys) * curve_xy.derivative_dy_dx(xs, ys)
+            + curve_yz._dy(ys, zs) * curve_zx.derivative_dy_dx(xs, zs))

@@ -8,7 +8,7 @@ from acutesphere import fixtures as fixture_registry
 from acutesphere.errors import (GeometryError, InternalInconsistency, SolveError,
                                ValidationError)
 from acutesphere.klein import CUBE_EDGES, SlantedCubeModel, boost_to, lift, mdot
-from acutesphere.spherical import from_angles, from_sides, place_triangle
+from acutesphere.spherical import IDENTITY_MAP, from_angles, from_sides, place_triangle
 from acutesphere.triangulation import diagonal_flip
 
 
@@ -209,6 +209,48 @@ def cube_links(cube):
                                  t[k - 2] @ t[k - 1]) for k in range(3))
         links.append((tuple(cube.dihedrals[(base, w)] for w in ends), sides))
     return tuple(links)
+
+
+def reference_solve_dual_sampled(R, T):
+    """Sampled oracle of ``duality.solve_dual_general`` (R, T with the
+    identity corner map): both sigma curves solved on a grid of step at
+    most 1e-4 over the feasible interval, the root bracketed by the first sign
+    change of the closing residual and refined there by ``brentq``."""
+    from scipy.optimize import brentq
+
+    from acutesphere.duality import (AbsenceCertificate, DualityWitness,
+                                     DualSolveResult, SigmaCurve, _closing_slopes,
+                                     _system_residuals, sigma)
+    from acutesphere.spherical import CORNERS
+
+    violations = [c for c in CORNERS
+                  if R.angle(c) >= math.pi - T.side(c) or R.side(c) >= math.pi - T.angle(c)]
+    if violations:
+        return DualSolveResult(None, AbsenceCertificate(
+            reason="necessary-condition", detail=f"violated at {violations}"))
+    curve_xy, curve_zx = SigmaCurve(R.c, T.C), SigmaCurve(R.b, T.B)
+    curve_yz = SigmaCurve(R.a, T.A)
+    lo = max(curve_xy.x_domain()[0], curve_zx.x_domain()[0])
+    hi = min(curve_xy.x_domain()[1], curve_zx.x_domain()[1])
+    if not lo < hi:
+        return DualSolveResult(None, AbsenceCertificate(
+            reason="empty-interval", detail="", interval=(lo, hi)))
+    xs = np.linspace(lo, hi, max(3, int(math.ceil((hi - lo) / 1e-4)) + 1))
+    ys, zs = curve_xy.solve_y_grid(xs), curve_zx.solve_y_grid(xs)
+    h = sigma(R.a, T.A, ys, zs)
+    change = np.nonzero(np.diff(np.sign(h)) != 0)[0]
+    if not change.size:
+        return DualSolveResult(None, AbsenceCertificate(
+            reason="sign-constant", detail="", interval=(lo, hi),
+            grid_step=float(xs[1] - xs[0]), min_abs_residual=float(np.min(np.abs(h))),
+            residual_sign=int(np.sign(h[0])),
+            min_slope=float(np.min(_closing_slopes(curve_xy, curve_zx, curve_yz, xs, ys, zs)))))
+    x0 = brentq(lambda x: curve_yz(curve_xy.solve_y(x), curve_zx.solve_y(x)),
+                float(xs[change[0]]), float(xs[change[0] + 1]), xtol=1e-15, rtol=8.9e-16)
+    y0, z0 = curve_xy.solve_y(x0), curve_zx.solve_y(x0)
+    return DualSolveResult(DualityWitness(
+        x=x0, y=y0, z=z0, R=R, target=T, corner_map=IDENTITY_MAP,
+        residuals=_system_residuals(R, T, x0, y0, z0)), None)
 
 
 def reference_transport_pattern(B, pos, radii, fixed):

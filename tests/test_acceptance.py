@@ -65,12 +65,12 @@ def test_criterion_2_published_triangle_numerics():
     assert S.a == pytest.approx(0.652, abs=1e-3)
     assert S.b == pytest.approx(0.553, abs=1e-3)
     assert S.c == pytest.approx(0.364, abs=1e-3)
-    res = solve_dual_general(R, triangle_pqr(2, 3, 5), grid_step=1e-4)
+    res = solve_dual_general(R, triangle_pqr(2, 3, 5))
     assert not res.found
     assert res.certificate.reason == "sign-constant"
     assert res.certificate.grid_step <= 1e-4
     _ok(2, "triangle solvers match the printed values to 1e-3 and the "
-           "(2,3,5) duality is certified absent at grid step 1e-4")
+           "(2,3,5) duality is certified absent by its end signs")
 
 
 def test_criterion_3_closed_form_duality_oracle():

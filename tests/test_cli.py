@@ -199,7 +199,9 @@ def test_removed_options_are_rejected(capsys):
     for argv in (["check", fixture_file("octahedron"), "--format", "svg"],
                  ["invariants", fixture_file("icosahedron"), "--out", "unused"],
                  ["check", fixture_file("octahedron"), "--seed", "1"],
-                 ["check", fixture_file("octahedron"), "--tol", "1e-9"]):
+                 ["check", fixture_file("octahedron"), "--tol", "1e-9"],
+                 ["dual", "--triangle", "1,0.5,0.6", "--target", "2,3,5",
+                  "--grid-step", "1e-4"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -229,6 +231,32 @@ def test_dual_witness(capsys):
     assert report["cube"]["vertices"]["O'"]
     assert report["cube"]["volume"] > 0
     assert report["metrics"]["cube_volume"] == report["cube"]["volume"]
+
+
+def test_dual_labels_keep_their_corners(capsys):
+    # the labels give pi/p at A, pi/q at B and pi/r at C, so the 5 of a
+    # (2,2,5) target fits this triangle at B and nowhere else
+    code, report, _ = run(capsys, ["dual", "--triangle", "0.4,1.45,1.3",
+                                   "--target", "2,5,2"])
+    assert code == 0
+    assert report["cube"]["volume"] > 0
+    w = report["witness"]
+    assert w["link_at_opposite"]["angles"] == pytest.approx(
+        [math.pi / 2, math.pi / 5, math.pi / 2], abs=1e-12)
+    assert max(abs(r) for r in w["sigma_residuals"]) <= 1e-10
+    x, y, z = w["x"], w["y"], w["z"]
+    a, b, c = w["link_at_O"]["sides"]
+    A, B, C = w["link_at_opposite"]["angles"]
+    for side, angle, u, v in ((a, A, y, z), (b, B, z, x), (c, C, x, y)):
+        sigma = (math.cos(angle) * math.sqrt((1 - u * u) * (1 - v * v))
+                 - u * v + math.cos(side))
+        assert abs(sigma) <= 1e-10
+    for target in ("5,2,2", "2,2,5"):
+        code, report, err = run(capsys, ["dual", "--triangle", "0.4,1.45,1.3",
+                                         "--target", target])
+        assert code == 1
+        assert report["absence"]["reason"] == "necessary-condition"
+        assert "necessary-condition" in err
 
 
 def test_dual_invalid_sides(capsys):

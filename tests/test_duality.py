@@ -10,7 +10,7 @@ from acutesphere.errors import GeometryError, ValidationError
 from acutesphere.spherical import (CornerMap, from_angles, from_sides, polar_dual,
                                    triangle_pqr)
 
-from conftest import random_acute_triangle, random_triangle
+from conftest import random_acute_triangle, random_triangle, reference_solve_dual_sampled
 
 EQUILATERAL = from_angles(2 * math.pi / 5, 2 * math.pi / 5, 2 * math.pi / 5)
 
@@ -123,6 +123,19 @@ def test_curve_monotone_decreasing(rng):
         assert type(curve.derivative_dy_dx(float(xs[0]), float(ys[0]))) is float
 
 
+def test_curve_solves_at_both_domain_ends(rng):
+    # at the upper end of a c > pi/2 curve's domain, sigma(hi, 0) can round
+    # below zero: the root there is y = 0, not a missing root
+    for _ in range(2000):
+        c = rng.uniform(0.1, math.pi - 0.2)
+        gamma = rng.uniform(0.05, min(math.pi / 2, math.pi - c - 0.05))
+        curve = SigmaCurve(c, gamma)
+        for x in curve.x_domain():
+            y = curve.solve_y(x)
+            assert 0.0 <= y <= 1.0
+            assert abs(curve(x, y)) <= 1e-12
+
+
 def test_curve_domain_obtuse_c():
     c = 2.2
     gamma = 0.5
@@ -205,7 +218,7 @@ def test_solve_general_published_absence():
     assert from_angles(math.pi / 2, math.pi / 3, math.pi / 5).sides() == target.sides()
     # the pair is slimmer than the polar dual yet not dual
     assert not slimmer_fails(R, target)
-    res = solve_dual_general(R, target, grid_step=1e-4)
+    res = solve_dual_general(R, target)
     assert not res.found
     cert = res.certificate
     assert isinstance(cert, AbsenceCertificate)
@@ -213,6 +226,71 @@ def test_solve_general_published_absence():
     assert cert.residual_sign == -1
     assert cert.grid_step <= 1e-4
     assert cert.min_slope > 0
+
+
+def random_target(rng, k):
+    """A general acute target, a (2,3,r) target or a (2,2,p) target with p
+    at corner k % 3, in turn."""
+    kind, corner = k % 3, (k // 3) % 3
+    if kind == 0:
+        return random_acute_triangle(rng)
+    if kind == 1:
+        return triangle_pqr(*(int(m) for m in rng.permutation([2, 3, int(rng.integers(3, 6))])))
+    labels = [2, 2, 2]
+    labels[corner] = int(rng.integers(2, 8))
+    return triangle_pqr(*labels)
+
+
+def test_solve_general_matches_sampled_oracle(rng):
+    # the end-sign decision gives the sampled solver's verdict, reason and
+    # witness on general targets and on (2,2,p) with p at every corner
+    reasons = {}
+    for k in range(240):
+        R = random_acute_triangle(rng) if k % 4 == 0 else random_triangle(rng)
+        T = random_target(rng, k)
+        ours, ref = solve_dual_general(R, T), reference_solve_dual_sampled(R, T)
+        assert ours.found == ref.found
+        if ours.found:
+            reason = "found"
+            assert abs(ours.witness.x - ref.witness.x) <= 1e-12
+        else:
+            cert, ref_cert = ours.certificate, ref.certificate
+            reason = cert.reason
+            assert reason == ref_cert.reason
+            if reason == "sign-constant":
+                assert cert.grid_step == 0.0
+                assert cert.residual_sign == ref_cert.residual_sign
+                assert cert.min_slope > 0
+                # the minimum of a monotone residual sits at an end
+                assert cert.min_abs_residual == pytest.approx(ref_cert.min_abs_residual,
+                                                              abs=1e-12)
+        reasons[reason] = reasons.get(reason, 0) + 1
+    assert all(reasons.get(r, 0) >= 5 for r in ("found", "necessary-condition",
+                                               "sign-constant")), reasons
+
+
+def test_closing_residual_increases(rng):
+    # the lemma behind the end-sign decision: on the feasible interval the
+    # closing residual h(x) = sigma_{a,A'}(y(x), z(x)) is strictly increasing
+    from acutesphere.spherical import slimmer
+    checked = 0
+    for k in range(1000):
+        R = random_triangle(rng)
+        T = random_target(rng, k)
+        if not slimmer(R, polar_dual(T)):
+            continue
+        curve_xy, curve_zx = SigmaCurve(R.c, T.C), SigmaCurve(R.b, T.B)
+        lo = max(curve_xy.x_domain()[0], curve_zx.x_domain()[0])
+        hi = min(curve_xy.x_domain()[1], curve_zx.x_domain()[1])
+        if not lo < hi:
+            continue
+        xs = np.linspace(lo, hi, 1000)
+        h = sigma(R.a, T.A, curve_xy.solve_y_grid(xs), curve_zx.solve_y_grid(xs))
+        assert np.all(np.diff(h) > 0)
+        checked += 1
+        if checked == 100:
+            break
+    assert checked == 100
 
 
 def slimmer_fails(R, target):
