@@ -85,7 +85,7 @@ def cmd_check(args):
     verdicts = {
         "closed": tri.is_closed,
         "vertices": len(tri.vertices),
-        "edges": len(tri.edges),
+        "edges": len(tri._edge_faces),
         "faces": len(tri.faces),
         "flag": is_flag(tri),
     }

@@ -14,7 +14,7 @@ from .triangulation import AbstractTriangulation
 
 def to_off(real: GeodesicRealization) -> str:
     tri = real.parent
-    lines = ["OFF", f"{len(tri.vertices)} {len(tri.faces)} {len(tri.edges)}"]
+    lines = ["OFF", f"{len(tri.vertices)} {len(tri.faces)} {len(tri._edge_faces)}"]
     index = {v: i for i, v in enumerate(tri.vertices)}
     for v in tri.vertices:
         p = real.positions[v]
@@ -76,8 +76,9 @@ def realization_svg(real: GeodesicRealization) -> str:
             x, y = f(c2)
             parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{scale * r2:.2f}" '
                          'fill="none" stroke="#3377cc" stroke-width="0.8"/>')
-    for e in sorted(real.parent.edges, key=sorted):
-        u, v = sorted(e)
+    names = real.parent._names
+    for i, j in sorted(real.parent._edge_faces):
+        u, v = names[i], names[j]
         x1, y1 = f(flat[u])
         x2, y2 = f(flat[v])
         parts.append(f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
@@ -100,8 +101,9 @@ def euclidean_svg(eu: EuclideanRealization) -> str:
         x, y = f(eu.centers[v])
         parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{abs(scale) * eu.radii[v]:.2f}" '
                      'fill="none" stroke="#3377cc" stroke-width="0.8"/>')
-    for e in sorted(eu.parent.edges, key=sorted):
-        u, v = sorted(e)
+    names = eu.parent._names
+    for i, j in sorted(eu.parent._edge_faces):
+        u, v = names[i], names[j]
         x1, y1 = f(eu.centers[u])
         x2, y2 = f(eu.centers[v])
         parts.append(f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
@@ -131,8 +133,8 @@ def graph_svg(tri: AbstractTriangulation, highlight_cycle=()) -> str:
     cyc = list(highlight_cycle)
     red = {frozenset((cyc[i], cyc[(i + 1) % len(cyc)])) for i in range(len(cyc))} if cyc else set()
     parts = [_svg_header()]
-    for e in sorted(tri.edges, key=sorted):
-        u, v = sorted(e)
+    for i, j in sorted(tri._edge_faces):
+        u, v = tri._names[i], tri._names[j]
         x1, y1 = f(flat[u])
         x2, y2 = f(flat[v])
         color, w = ("red", "2.5") if frozenset((u, v)) in red else ("black", "1")

@@ -50,8 +50,10 @@ class PatternProblem:
         self.tri = tri
         self.index = {v: i for i, v in enumerate(tri.vertices)}
         self.nv = len(tri.vertices)
-        # each pair sorted, so no row depends on the set order of an edge
-        self.edges = np.array(sorted(sorted(self.index[v] for v in e) for e in tri.edges))
+        # rows sorted by the positions of their ends in tri.vertices
+        at = tri._position
+        self.edges = np.array(sorted((at[u], at[v]) if at[u] < at[v] else (at[v], at[u])
+                                     for u, v in tri._edge_faces))
         self.fixed = np.zeros(self.nv, dtype=bool)
         for v in fixed_zero:
             self.fixed[self.index[v]] = True
@@ -143,15 +145,17 @@ def levenberg_marquardt(problem, theta0, tol=1e-13, max_iter=400):
 def tutte_layout(tri: AbstractTriangulation, pinned: dict, removed=None) -> dict:
     """Plane positions of the vertices neither in ``pinned`` (vertex -> xy)
     nor ``removed``: each the mean of its neighbours other than ``removed``,
-    from one solve of the graph Laplacian."""
+    from one solve of the graph Laplacian.  Each vertex adds its pinned
+    neighbours in name order, so the sums do not depend on set order."""
     inner = [v for v in tri.vertices if v != removed and v not in pinned]
     if not inner:
         return {}
     pos_of = {v: i for i, v in enumerate(inner)}
     L = np.zeros((len(inner), len(inner)))
     b = np.zeros((len(inner), 2))
+    names = tri._names
     for i, v in enumerate(inner):
-        nbrs = [u for u in tri.adjacency[v] if u != removed]
+        nbrs = [names[u] for u in sorted(tri._nbrs[tri._id[v]]) if names[u] != removed]
         L[i, i] = len(nbrs)
         for u in nbrs:
             if u in pos_of:

@@ -95,7 +95,7 @@ class CirclePatternResidual:
     """Per-edge orthogonality residuals and per-nonedge clearances of a
     realized circle pattern."""
 
-    edge_residuals: np.ndarray      # cos d(x_u, x_v) - cos r_u cos r_v per edge
+    edge_residuals: np.ndarray      # cos d(x_u, x_v) - cos r_u cos r_v, in edge_faces order
     nonedge_clearances: np.ndarray  # d(x_u, x_v) - (r_u + r_v), in _nonedge_pairs order
 
     def max_edge_residual(self) -> float:
@@ -117,8 +117,9 @@ def _nonedge_pairs(tri: AbstractTriangulation):
 
 
 def _edge_index_arrays(tri: AbstractTriangulation):
-    index = {v: k for k, v in enumerate(tri.vertices)}
-    return np.array([[index[w] for w in e] for e in tri.edges]).T
+    """Index arrays (i, j) of the edges' ends, as positions in ``tri.vertices``."""
+    at = np.asarray(tri._position)
+    return at[np.array(list(tri._edge_faces)).reshape(-1, 2)].T
 
 
 def _pair_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -229,9 +230,11 @@ def _invariant_check(tri: AbstractTriangulation, hubs=()):
     # verified post hoc, violations force a restart); the two disks opposite
     # across an ideal hub are tangent at the hub point, and so are those
     # opposite across a square boundary, where the capping puts a hub
-    rings = [tri.adjacency[h] for h in hubs] + [c for c in tri.boundary_cycles if len(c) == 4]
-    in_ring = np.array([[v in ring for v in tri.vertices] for ring in rings],
-                       dtype=bool).reshape(len(rings), len(tri.vertices))
+    rings = [tri._nbrs[tri._id[h]] for h in hubs] + [
+        [tri._id[v] for v in c] for c in tri.boundary_cycles if len(c) == 4]
+    in_ring = np.zeros((len(rings), len(tri.vertices)), dtype=bool)
+    for k, ring in enumerate(rings):
+        in_ring[k, [tri._position[v] for v in ring]] = True
     slack = np.where((in_ring[:, i] & in_ring[:, j]).any(axis=0), -1e-9, 1e-9)
     hub = np.array([v in hubs for v in tri.vertices])
     oriented = tri.oriented_faces()
@@ -368,14 +371,14 @@ def verify_coinciding_perpendiculars(real: GeodesicRealization) -> Perpendicular
     """For each interior edge, the perpendicular feet dropped from the two
     opposite vertices must coincide.  Circle-pattern realizations satisfy
     this; generic acute realizations do not."""
-    index = {v: k for k, v in enumerate(real.parent.vertices)}
+    tri = real.parent
+    sums = tri._face_sums
     quads = []
-    for e, fs in real.parent.edge_faces.items():
+    for (a, b), fs in tri._edge_faces.items():
         if len(fs) == 2:
-            opposite = [next(x for x in f if x not in e) for f in fs]
-            quads.append([index[x] for x in (*e, *opposite)])
+            quads.append((a, b, *(sums[f] - a - b for f in fs)))
     pos = real.position_array()
-    u, v, w1, w2 = np.array(quads, dtype=int).reshape(-1, 4).T
+    u, v, w1, w2 = np.asarray(tri._position)[np.array(quads, dtype=int).reshape(-1, 4)].T
     n = np.cross(pos[u], pos[v])
     n /= np.linalg.norm(n, axis=1)[:, None]
 

@@ -4,6 +4,13 @@ Everything here is pure combinatorics: vertices are opaque strings, faces are
 unordered vertex triples, edges are derived.  A triangulation validates on
 construction (manifold edges, cyclic links, Euler characteristic) and is
 immutable afterwards, so every operation in this module is a pure function.
+
+Inside, a vertex is an integer id: the rank of its name among the vertex
+names, so that id order is name order.  Validation, enumeration and the
+region search run on ids and come out in the order they would over the
+names; names come back only in what the functions return and in error
+messages.  The name-keyed attributes ``edges``, ``face_set``, ``edge_faces``,
+``adjacency`` and ``boundary_edges`` are views, built on first access.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
@@ -19,14 +27,6 @@ from .errors import ParseError, ValidationError
 
 Edge = frozenset
 Face = frozenset
-
-
-def _edge(u, v):
-    return frozenset((u, v))
-
-
-def _face(u, v, w):
-    return frozenset((u, v, w))
 
 
 @dataclass(frozen=True)
@@ -62,52 +62,73 @@ class AbstractTriangulation:
       * the link of each interior vertex is a single cycle, of each boundary
         vertex a single path,
       * the complex is connected and V - E + F = 2 - (#boundary components).
+
+    The id tables: ``_names[i]`` is the name of id i and ``_position[i]`` its
+    place in ``vertices``; ``_id`` maps names to ids; ``_faces`` holds the
+    faces as id triples and ``_face_sums`` their id sums, in face order;
+    ``_edge_faces`` maps each edge (i, j), i < j, to the positions of its
+    faces in ``faces``; ``_nbrs[i]`` lists the neighbours of i in the order
+    their edges first occur in the faces; ``_boundary`` holds the boundary
+    ids.  The third vertex of face k on the edge (i, j) is
+    ``_face_sums[k] - i - j``.
     """
 
     def __init__(self, vertices: Sequence[str], faces: Iterable[Sequence[str]]):
-        self.vertices = tuple(str(v) for v in vertices)
-        if len(set(self.vertices)) != len(self.vertices):
+        self.vertices = tuple(map(str, vertices))
+        order = sorted(range(len(self.vertices)), key=self.vertices.__getitem__)
+        self._position = order
+        self._names = tuple(self.vertices[p] for p in order)
+        self._id = index = dict(zip(self._names, range(len(order))))
+        if len(index) != len(order):
             raise ValidationError("repeated vertex identifiers")
-        self._index = {v: i for i, v in enumerate(self.vertices)}
 
         face_list = []
-        seen = set()
-        for f in faces:
-            t = tuple(str(v) for v in f)
-            if len(t) != 3 or len(set(t)) != 3:
-                raise ValidationError(f"face with repeated or missing vertices: {t}")
-            for v in t:
-                if v not in self._index:
-                    raise ValidationError(f"face {t} uses unknown vertex {v!r}")
-            key = _face(*t)
-            if key in seen:
-                raise ValidationError(f"repeated face: {sorted(t)}")
-            seen.add(key)
-            face_list.append(t)
-        self.faces = tuple(face_list)
-        self.face_set = frozenset(_face(*f) for f in self.faces)
-
-        # edge -> incident faces
+        face_ids = []
+        sums = []
         edge_faces: dict = {}
-        for f in self.faces:
-            for u, v in combinations(f, 2):
-                edge_faces.setdefault(_edge(u, v), []).append(_face(*f))
-        for e, fs in edge_faces.items():
+        nbrs = [[] for _ in order]
+        for f in faces:
+            t = tuple(f)
+            if not (len(t) == 3 and type(t[0]) is type(t[1]) is type(t[2]) is str):
+                t = tuple(map(str, t))
+            if len(t) != 3 or t[0] == t[1] or t[0] == t[2] or t[1] == t[2]:
+                raise ValidationError(f"face with repeated or missing vertices: {t}")
+            try:
+                a, b, c = index[t[0]], index[t[1]], index[t[2]]
+            except KeyError as exc:
+                raise ValidationError(f"face {t} uses unknown vertex {exc.args[0]!r}") from None
+            s = a + b + c
+            k = len(sums)
+            for e in ((a, b) if a < b else (b, a), (a, c) if a < c else (c, a),
+                      (b, c) if b < c else (c, b)):
+                fs = edge_faces.get(e)
+                if fs is None:
+                    edge_faces[e] = [k]
+                    u, v = e
+                    nbrs[u].append(v)
+                    nbrs[v].append(u)
+                    continue
+                for g in fs:
+                    # a face on this edge with the same id sum has the same third vertex
+                    if sums[g] == s:
+                        raise ValidationError(f"repeated face: {sorted(t)}")
+                fs.append(k)
+            face_list.append(t)
+            face_ids.append((a, b, c))
+            sums.append(s)
+        self.faces = tuple(face_list)
+        self._faces = tuple(face_ids)
+        self._face_sums = sums
+        self._edge_faces = edge_faces
+        self._nbrs = nbrs
+        for (u, v), fs in edge_faces.items():
             if len(fs) > 2:
-                raise ValidationError(f"non-manifold edge {sorted(e)}: lies in {len(fs)} faces")
-        self.edge_faces = {e: tuple(fs) for e, fs in edge_faces.items()}
-        self.edges = frozenset(edge_faces)
+                raise ValidationError(f"non-manifold edge {[self._names[u], self._names[v]]}: "
+                                      f"lies in {len(fs)} faces")
 
-        self.adjacency = {v: set() for v in self.vertices}
-        for e in self.edges:
-            u, v = tuple(e)
-            self.adjacency[u].add(v)
-            self.adjacency[v].add(u)
-        self.adjacency = {v: frozenset(n) for v, n in self.adjacency.items()}
-
-        self.boundary_edges = frozenset(e for e, fs in self.edge_faces.items() if len(fs) == 1)
-        self._check_links()
-        self.boundary_cycles = self._trace_boundary()
+        ends = self._check_links()
+        self._boundary = frozenset(v for v, es in enumerate(ends) if es)
+        self.boundary_cycles = self._trace_boundary(ends)
         self._check_euler_and_connectivity()
         # derived tables built on first use; see ``_cached``
         self._memo: dict = {}
@@ -117,61 +138,102 @@ class AbstractTriangulation:
     def _check_links(self):
         """Each vertex's link must be one cycle (interior vertex) or one path
         (boundary vertex); the walk of each link cycle is kept for
-        ``link_cycle``.  A link vertex u of v has one link edge per face on
-        the edge vu, so the non-manifold-edge check bounds its degree by two."""
-        links: dict = {v: {} for v in self.vertices}
-        for f in self.faces:
-            for v in f:
-                u, w = [x for x in f if x != v]
-                link = links[v]
-                link.setdefault(u, []).append(w)
-                link.setdefault(w, []).append(u)
+        ``link_cycle``.  The link of v joins each neighbour u to the third
+        vertex of each face on the edge vu, so the non-manifold-edge check
+        bounds its degree by two, and its ends are the neighbours across
+        boundary edges.  Returns the ends of every link, by id, each list in
+        the order of ``_nbrs``."""
+        edge_faces, nbrs, sums = self._edge_faces, self._nbrs, self._face_sums
+        ends = [[] for _ in nbrs]
+        for (u, v), fs in edge_faces.items():
+            if len(fs) == 1:
+                ends[u].append(v)
+                ends[v].append(u)
         self._link_cycles = {}
-        for v, link in links.items():
-            if not link:
-                raise ValidationError(f"isolated vertex {v!r}")
-            ends = [u for u, ns in link.items() if len(ns) == 1]
-            if len(ends) not in (0, 2):
-                raise ValidationError(f"link of vertex {v!r} is not a single cycle or path")
-            walk = _walk(link, ends[0] if ends else next(iter(link)))
-            if len(walk) != len(link):
-                raise ValidationError(f"link of vertex {v!r} is disconnected")
-            if not ends:
+        for name in self.vertices:
+            v = self._id[name]
+            if not nbrs[v]:
+                raise ValidationError(f"isolated vertex {name!r}")
+            if len(ends[v]) not in (0, 2):
+                raise ValidationError(f"link of vertex {name!r} is not a single cycle or path")
+            # from the first end, or else the first neighbour met in face
+            # order, towards the third vertex of the first face on that edge
+            start = ends[v][0] if ends[v] else nbrs[v][0]
+            walk = [start]
+            prev = start
+            cur = sums[edge_faces[(v, start) if v < start else (start, v)][0]] - v - start
+            while cur != start:
+                walk.append(cur)
+                fs = edge_faces[(v, cur) if v < cur else (cur, v)]
+                if len(fs) == 1:
+                    break
+                w = sums[fs[0]] - v - cur
+                prev, cur = cur, (sums[fs[1]] - v - cur if w == prev else w)
+            if len(walk) != len(nbrs[v]):
+                raise ValidationError(f"link of vertex {name!r} is disconnected")
+            if not ends[v]:
                 self._link_cycles[v] = tuple(walk)
+        return ends
 
-    def _trace_boundary(self):
+    def _trace_boundary(self, ends):
         # each boundary vertex has two boundary edges: those to its link's ends
-        nbr: dict = {}
-        for e in self.boundary_edges:
-            u, v = tuple(e)
-            nbr.setdefault(u, []).append(v)
-            nbr.setdefault(v, []).append(u)
         cycles = []
         visited: set = set()
-        for start in sorted(nbr):
+        for start in sorted(self._boundary):
             if start not in visited:
-                cycle = _walk(nbr, start)
+                cycle = _walk(ends, start)
                 visited.update(cycle)
                 cycles.append(canonical_cycle(cycle))
-        return tuple(sorted(cycles))
+        return tuple(_named(self, c) for c in sorted(cycles))
 
     def _check_euler_and_connectivity(self):
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
+        if not self.vertices:
+            raise ValidationError("triangulation has no vertices")
+        nbrs = self._nbrs
+        seen = {0}
+        stack = [0]
         while stack:
-            x = stack.pop()
-            for y in self.adjacency[x]:
+            for y in nbrs[stack.pop()]:
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
         if len(seen) != len(self.vertices):
             raise ValidationError("triangulation is not connected")
-        chi = len(self.vertices) - len(self.edges) + len(self.faces)
+        chi = len(self.vertices) - len(self._edge_faces) + len(self.faces)
         expected = 2 - len(self.boundary_cycles)
         if chi != expected:
             raise ValidationError(
                 f"Euler characteristic {chi}, expected {expected} "
                 f"for {len(self.boundary_cycles)} boundary component(s)")
+
+    # -- name-keyed views ------------------------------------------------
+
+    @cached_property
+    def edges(self) -> frozenset:
+        names = self._names
+        return frozenset(frozenset((names[u], names[v])) for u, v in self._edge_faces)
+
+    @cached_property
+    def face_set(self) -> frozenset:
+        return frozenset(map(frozenset, self.faces))
+
+    @cached_property
+    def edge_faces(self) -> dict:
+        """Each edge's faces, in face order."""
+        names, faces = self._names, self.faces
+        return {frozenset((names[u], names[v])): tuple(frozenset(faces[k]) for k in fs)
+                for (u, v), fs in self._edge_faces.items()}
+
+    @cached_property
+    def adjacency(self) -> dict:
+        names, nbrs, index = self._names, self._nbrs, self._id
+        return {v: frozenset(names[u] for u in nbrs[index[v]]) for v in self.vertices}
+
+    @cached_property
+    def boundary_edges(self) -> frozenset:
+        names = self._names
+        return frozenset(frozenset((names[u], names[v]))
+                         for (u, v), fs in self._edge_faces.items() if len(fs) == 1)
 
     # -- basic queries ---------------------------------------------------
 
@@ -180,27 +242,29 @@ class AbstractTriangulation:
         return not self.boundary_cycles
 
     def degree(self, v) -> int:
-        return len(self.adjacency[v])
+        return len(self._nbrs[self._id[v]])
 
     def link_cycle(self, v) -> tuple:
         """Neighbours of an interior vertex in cyclic link order: from the
         first neighbour met in face order, towards the other vertex of that
         first face."""
-        return self._link_cycles[v]
+        return _named(self, self._link_cycles[self._id[v]])
 
     def has_edge(self, u, v) -> bool:
-        return _edge(u, v) in self.edges
+        i, j = self._id.get(u), self._id.get(v)
+        return i is not None and j is not None and _has_edge(self, i, j)
 
     def is_face(self, u, v, w) -> bool:
-        return _face(u, v, w) in self.face_set
+        i, j, k = self._id.get(u), self._id.get(v), self._id.get(w)
+        return None not in (i, j, k) and _is_face(self, i, j, k)
 
     def boundary_vertices(self) -> frozenset:
-        return frozenset(v for c in self.boundary_cycles for v in c)
+        return frozenset(_named(self, self._boundary))
 
     def faces_of_edge(self, u, v):
-        return self.edge_faces[_edge(u, v)]
+        return self.edge_faces[frozenset((u, v))]
 
-    def oriented_faces(self):
+    def oriented_faces(self) -> tuple:
         """Faces as ordered triples with a globally consistent orientation.
 
         Orientation is propagated across shared edges (two neighbors must
@@ -208,27 +272,27 @@ class AbstractTriangulation:
         admits only connected surfaces with Euler characteristic 2 - b for
         b boundary components; a non-orientable one would have at most
         1 - b, so the propagation reaches every face and never contradicts
-        itself.
+        itself.  Computed once per triangulation.
         """
-        first = self.faces[0]
-        orient = {_face(*first): tuple(first)}
-        stack = [first]
+        return _cached(self, "oriented_faces", self._orient)
+
+    def _orient(self):
+        faces, edge_faces, sums = self._faces, self._edge_faces, self._face_sums
+        orient = [None] * len(faces)
+        orient[0] = faces[0]
+        stack = [0]
         while stack:
             f = stack.pop()
-            of = orient[_face(*f)]
-            directed = {(of[0], of[1]), (of[1], of[2]), (of[2], of[0])}
-            for u, v in combinations(f, 2):
-                for g in self.edge_faces[_edge(u, v)]:
-                    if g == _face(*f) or g in orient:
-                        continue
-                    w = next(x for x in g if x not in (u, v))
-                    if (u, v) in directed:
-                        og = (v, u, w)
-                    else:
-                        og = (u, v, w)
-                    orient[g] = og
-                    stack.append(og)
-        return tuple(orient[_face(*f)] for f in self.faces)
+            a, b, c = orient[f]
+            # the face across the directed edge xy runs along yx; in each
+            # pair below, x y is that reversed edge
+            for x, y in ((b, a), (a, c), (c, b)):
+                for g in edge_faces[(x, y) if x < y else (y, x)]:
+                    if orient[g] is None:
+                        orient[g] = (x, y, sums[g] - x - y)
+                        stack.append(g)
+        names = self._names
+        return tuple([(names[a], names[b], names[c]) for a, b, c in orient])
 
     def __eq__(self, other):
         return (isinstance(other, AbstractTriangulation)
@@ -240,7 +304,26 @@ class AbstractTriangulation:
     def __repr__(self):
         kind = "closed" if self.is_closed else f"{len(self.boundary_cycles)}-boundary"
         return (f"AbstractTriangulation({len(self.vertices)} vertices, "
-                f"{len(self.edges)} edges, {len(self.faces)} faces, {kind})")
+                f"{len(self._edge_faces)} edges, {len(self.faces)} faces, {kind})")
+
+
+def _named(tri: AbstractTriangulation, ids) -> tuple:
+    """The names of a sequence of vertex ids, as a tuple."""
+    names = tri._names
+    return tuple([names[v] for v in ids])
+
+
+def _has_edge(tri: AbstractTriangulation, u, v) -> bool:
+    return ((u, v) if u < v else (v, u)) in tri._edge_faces
+
+
+def _is_face(tri: AbstractTriangulation, u, v, w) -> bool:
+    """Whether the ids u, v, w span a face: one on the edge uv has third vertex w."""
+    fs = tri._edge_faces.get((u, v) if u < v else (v, u))
+    if fs is None:
+        return False
+    s, sums = u + v + w, tri._face_sums
+    return sums[fs[0]] == s or (len(fs) == 2 and sums[fs[1]] == s)
 
 
 def _walk(adj, start) -> list:
@@ -279,8 +362,8 @@ class EdgeLabeling:
     def __post_init__(self):
         normalized = {}
         for e, m in self.labels.items():
-            key = _edge(*e) if not isinstance(e, frozenset) else e
-            if key not in self.triangulation.edges:
+            key = frozenset(e)
+            if len(key) != 2 or not self.triangulation.has_edge(*key):
                 raise ValidationError(f"label on non-edge {sorted(key)}")
             if not isinstance(m, int) or m < 2:
                 raise ValidationError(f"label {m!r} on edge {sorted(key)} must be an integer >= 2")
@@ -288,7 +371,7 @@ class EdgeLabeling:
         object.__setattr__(self, "labels", normalized)
 
     def label(self, u, v) -> int:
-        return self.labels.get(_edge(u, v), 2)
+        return self.labels.get(frozenset((u, v)), 2)
 
     def face_labels(self, face) -> tuple:
         """Labels (p, q, r) of the face's edges opposite its vertices, in
@@ -310,9 +393,15 @@ def parse_document(text: str):
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "vertices" not in doc or "faces" not in doc:
         raise ParseError("document must be an object with 'vertices' and 'faces'")
+    if not isinstance(doc["vertices"], list):
+        raise ParseError("'vertices' must be a list of vertex names")
+    if not isinstance(doc["faces"], list) or not all(isinstance(f, list) for f in doc["faces"]):
+        raise ParseError("'faces' must be a list of vertex-name lists")
     tri = AbstractTriangulation(doc["vertices"], doc["faces"])
     labeling = None
     if doc.get("labels"):
+        if not isinstance(doc["labels"], list):
+            raise ParseError("'labels' must be a list of label entries")
         labels = {}
         for item in doc["labels"]:
             try:
@@ -320,7 +409,7 @@ def parse_document(text: str):
                 m = item["m"]
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"malformed label entry: {item!r}") from exc
-            labels[_edge(str(u), str(v))] = m
+            labels[frozenset((str(u), str(v)))] = m
         labeling = EdgeLabeling(tri, labels)
     return tri, labeling
 
@@ -339,6 +428,9 @@ def serialize(tri: AbstractTriangulation, labeling: Optional[EdgeLabeling] = Non
 
 
 # -- cycle enumeration --------------------------------------------------
+#
+# The enumerations run on ids, cached per triangulation; the public
+# functions return the same cycles with names.
 
 
 def _cached(tri: AbstractTriangulation, key, build):
@@ -351,34 +443,53 @@ def _cached(tri: AbstractTriangulation, key, build):
         return value
 
 
+def _higher_neighbours(tri: AbstractTriangulation):
+    """Per id, the set of its neighbours with a larger id."""
+    return _cached(tri, "higher", lambda: [{x for x in ns if x > u}
+                                           for u, ns in enumerate(tri._nbrs)])
+
+
 def _enumerate_triangles(tri: AbstractTriangulation):
+    higher = _higher_neighbours(tri)
     out = []
-    for e in sorted(tri.edges, key=sorted):
-        u, v = sorted(e)
-        for w in sorted(tri.adjacency[u] & tri.adjacency[v]):
-            if w > v:
-                out.append((u, v, w))
+    for u, up in enumerate(higher):
+        for v in sorted(up):
+            common = up & higher[v]
+            if common:
+                out.extend((u, v, w) for w in sorted(common))
     return tuple(out)
+
+
+def _triangle_ids(tri: AbstractTriangulation):
+    return _cached(tri, "triangle_ids", lambda: _enumerate_triangles(tri))
 
 
 def triangles_of_graph(tri: AbstractTriangulation):
     """All 3-cliques of the edge graph, as sorted tuples, in sorted order."""
-    return _cached(tri, "triangles", lambda: _enumerate_triangles(tri))
+    names = tri._names
+    return _cached(tri, "triangles", lambda: tuple([
+        (names[u], names[v], names[w]) for u, v, w in _triangle_ids(tri)]))
 
 
 def _enumerate_four_cliques(tri: AbstractTriangulation):
+    higher = _higher_neighbours(tri)
     out = []
-    for u, v, w in triangles_of_graph(tri):
-        common = tri.adjacency[u] & tri.adjacency[v] & tri.adjacency[w]
-        for x in sorted(common):
-            if x > w:
-                out.append((u, v, w, x))
+    for u, v, w in _triangle_ids(tri):
+        common = higher[u] & higher[v] & higher[w]
+        if common:
+            out.extend((u, v, w, x) for x in sorted(common))
     return tuple(out)
+
+
+def _four_clique_ids(tri: AbstractTriangulation):
+    return _cached(tri, "four_clique_ids", lambda: _enumerate_four_cliques(tri))
 
 
 def four_cliques(tri: AbstractTriangulation):
     """All 4-cliques of the edge graph, as sorted tuples, in sorted order."""
-    return _cached(tri, "four_cliques", lambda: _enumerate_four_cliques(tri))
+    names = tri._names
+    return _cached(tri, "four_cliques", lambda: tuple([
+        (names[u], names[v], names[w], names[x]) for u, v, w, x in _four_clique_ids(tri)]))
 
 
 def _enumerate_four_cycles(tri: AbstractTriangulation):
@@ -390,21 +501,23 @@ def _enumerate_four_cycles(tri: AbstractTriangulation):
     one diagonal that holds it, and makes (u, x, v, y) the canonical
     rotation.
     """
-    adj = tri.adjacency
+    nbrs = tri._nbrs
     out = []
-    for u in tri.vertices:
+    for u, up in enumerate(_higher_neighbours(tri)):
         middles: dict = {}
-        for x in adj[u]:
-            if x > u:
-                for v in adj[x]:
-                    if v > u:
-                        middles.setdefault(v, []).append(x)
+        for x in sorted(up):                 # so each list of middles is sorted
+            for v in nbrs[x]:
+                if v > u:
+                    middles.setdefault(v, []).append(x)
         for v, xs in middles.items():
             if len(xs) > 1:
-                xs.sort()
                 out.extend((u, x, v, y) for x, y in combinations(xs, 2))
     out.sort()
     return tuple(out)
+
+
+def _four_cycle_ids(tri: AbstractTriangulation):
+    return _cached(tri, "four_cycle_ids", lambda: _enumerate_four_cycles(tri))
 
 
 def four_cycles(tri: AbstractTriangulation):
@@ -413,12 +526,26 @@ def four_cycles(tri: AbstractTriangulation):
     Each cycle is reported once, in canonical rotation, and the tuple is
     sorted.  Chords are allowed.
     """
-    return _cached(tri, "four_cycles", lambda: _enumerate_four_cycles(tri))
+    names = tri._names
+    return _cached(tri, "four_cycles", lambda: tuple([
+        (names[u], names[x], names[v], names[y]) for u, x, v, y in _four_cycle_ids(tri)]))
+
+
+def _named_four_cycles(tri: AbstractTriangulation):
+    """Each 4-cycle with names, paired with its ids.  ``four_cycles`` stays
+    the one entry point of every 4-cycle scan, so a count of its calls (as
+    perfbench's tracer keeps) counts the scans."""
+    return zip(four_cycles(tri), _four_cycle_ids(tri))
+
+
+def _empty_triangle_ids(tri: AbstractTriangulation):
+    return _cached(tri, "empty_triangle_ids", lambda: tuple(
+        t for t in _triangle_ids(tri) if not _is_face(tri, *t)))
 
 
 def empty_three_cycles(tri: AbstractTriangulation):
     """3-cliques of the graph that do not bound a face."""
-    return [t for t in triangles_of_graph(tri) if not tri.is_face(*t)]
+    return [_named(tri, t) for t in _empty_triangle_ids(tri)]
 
 
 def has_chord(tri: AbstractTriangulation, cycle4) -> bool:
@@ -426,26 +553,30 @@ def has_chord(tri: AbstractTriangulation, cycle4) -> bool:
     return tri.has_edge(u, v) or tri.has_edge(x, y)
 
 
+def _has_chord(tri: AbstractTriangulation, cycle4) -> bool:
+    u, x, v, y = cycle4
+    return _has_edge(tri, u, v) or _has_edge(tri, x, y)
+
+
 def _face_graph(tri: AbstractTriangulation):
-    """Face adjacency over integer ids (positions in ``tri.faces``): a map
-    from each edge to its (id, incident face ids), and for each face the
-    (edge id, neighbouring face id) pairs across its interior edges."""
-    face_id = {_face(*f): i for i, f in enumerate(tri.faces)}
-    edges = {}
-    across = [[] for _ in tri.faces]
-    for k, (e, fs) in enumerate(tri.edge_faces.items()):
-        ids = tuple(face_id[g] for g in fs)
-        edges[e] = (k, ids)
-        if len(ids) == 2:
-            f, g = ids
+    """Face adjacency over face positions: each edge's index in
+    ``tri._edge_faces``, and for each face the (edge index, neighbouring
+    face) pairs across its interior edges."""
+    edge_index = {}
+    across = [[] for _ in tri._faces]
+    for k, (e, fs) in enumerate(tri._edge_faces.items()):
+        edge_index[e] = k
+        if len(fs) == 2:
+            f, g = fs
             across[f].append((k, g))
             across[g].append((k, f))
-    return edges, tuple(map(tuple, across))
+    return edge_index, tuple(map(tuple, across))
 
 
 def _region_interiors(tri: AbstractTriangulation, cycle):
-    """Interior-vertex sets of the regions the cycle's edges cut the faces
-    into, nonempty ones only, each an unordered tuple, in no fixed order.
+    """Interior-id sets of the regions the edges of the id cycle cut the
+    faces into, nonempty ones only, each an unordered tuple, in no fixed
+    order.
 
     One search starts from each face on a cycle edge.  The searches grow one
     face each in turn; two that meet merge (the faces of one are relabelled
@@ -456,17 +587,17 @@ def _region_interiors(tri: AbstractTriangulation, cycle):
     the smaller regions hold, not the whole surface; the last interior is
     one set difference over the vertices.
     """
-    edges, across = _cached(tri, "face_graph", lambda: _face_graph(tri))
+    edge_index, across = _cached(tri, "face_graph", lambda: _face_graph(tri))
     n = len(cycle)
     cut = set()
     seeds = set()
     for i in range(n):
-        e = _edge(cycle[i], cycle[(i + 1) % n])
-        if e not in edges:
-            raise ValidationError(f"not a cycle: missing edge {sorted(e)}")
-        k, fs = edges[e]
-        cut.add(k)
-        seeds.update(fs)
+        u, v = cycle[i], cycle[(i + 1) % n]
+        e = (u, v) if u < v else (v, u)
+        if e not in edge_index:
+            raise ValidationError(f"not a cycle: missing edge {list(_named(tri, e))}")
+        cut.add(edge_index[e])
+        seeds.update(tri._edge_faces[e])
     owner = {f: s for s, f in enumerate(seeds)}
     frontier = [[f] for f in seeds]          # None once merged or finished
     members = [[f] for f in seeds]
@@ -500,15 +631,22 @@ def _region_interiors(tri: AbstractTriangulation, cycle):
                 frontier[t] = None
                 live -= 1
     on_cycle = set(cycle)
-    faces = tri.faces
+    faces = tri._faces
     interiors = [{v for f in members[s] for v in faces[f]} - on_cycle for s in finished]
-    interiors.append(set(tri.vertices).difference(on_cycle, *interiors))
+    everyone = _cached(tri, "ids", lambda: frozenset(range(len(tri._names))))
+    interiors.append(everyone.difference(on_cycle, *interiors))
     return tuple(tuple(interior) for interior in interiors if interior)
 
 
 def _regions(tri: AbstractTriangulation, cycle):
-    """``_region_interiors`` of the cycle, searched once per triangulation."""
+    """``_region_interiors`` of the id cycle, searched once per triangulation."""
     return _cached(tri, ("regions", tuple(cycle)), lambda: _region_interiors(tri, cycle))
+
+
+def _components(tri: AbstractTriangulation, cycle):
+    """The regions of the id cycle as ``separating_interiors`` lists them."""
+    return tuple(_named(tri, interior)
+                 for interior in sorted(tuple(sorted(r)) for r in _regions(tri, cycle)))
 
 
 # -- predicates ----------------------------------------------------------
@@ -518,14 +656,14 @@ def is_flag(tri: AbstractTriangulation) -> bool:
     """True iff every 3-clique of the edge graph bounds a face and the graph
     has no 4-clique (which could span no simplex in a 2-complex)."""
     return _cached(tri, "is_flag",
-                   lambda: not empty_three_cycles(tri) and not four_cliques(tri))
+                   lambda: not _empty_triangle_ids(tri) and not _four_clique_ids(tri))
 
 
 def has_chordless_square(tri: AbstractTriangulation) -> Optional[CycleWitness]:
     """The first chordless 4-cycle, as a witness, or None."""
     return _cached(tri, "chordless_square", lambda: next(
         (CycleWitness(cycle=c, kind="chordless-4-cycle")
-         for c in four_cycles(tri) if not has_chord(tri, c)), None))
+         for c, ids in _named_four_cycles(tri) if not _has_chord(tri, ids)), None))
 
 
 def separating_interiors(tri: AbstractTriangulation, cycle):
@@ -534,27 +672,34 @@ def separating_interiors(tri: AbstractTriangulation, cycle):
     tuple, in sorted order.  The cycle separates exactly when two or more
     regions contain a vertex not on the cycle.  Each cycle is searched once
     per triangulation; later calls sort the stored regions."""
-    return tuple(sorted(tuple(sorted(interior)) for interior in _regions(tri, cycle)))
+    ids = tuple(tri._id.get(v) for v in cycle)
+    if None in ids:
+        missing = next(v for v in cycle if v not in tri._id)
+        raise ValidationError(f"not a cycle: unknown vertex {missing!r}")
+    return _components(tri, ids)
 
 
 def _bounds_faces(tri: AbstractTriangulation, cycle, boundary) -> bool:
-    """True when the cycle avoids the ``boundary`` vertices and is a face or a
-    4-cycle whose chord splits it into two faces.
+    """True when at most one vertex of the id cycle is a ``boundary`` id and
+    the cycle is a face or a 4-cycle whose chord splits it into two faces.
 
-    Such a cycle cannot separate, so it needs no region search.  The
-    validator admits only genus-0 surfaces, on which a simple cycle through
-    interior vertices cuts the faces into exactly two face-connected regions;
-    one of them is the cycle's own face or faces, with no vertex off the
-    cycle.  At a boundary vertex the search may find three or more regions,
-    so cycles touching the boundary always get it.
+    Such a cycle cannot separate, so it needs no region search.  Its own
+    faces hold no vertex off the cycle.  Every other face reaches, without
+    crossing a cycle edge, the face across some cycle edge (the surface is
+    face-connected).  At each cycle vertex off the boundary, the faces
+    around it outside the cycle's own form one fan, which joins the faces
+    across its two cycle edges; with at most one boundary vertex on the
+    cycle, these fans join the faces across all cycle edges, so the rest is
+    one region.  At two boundary vertices the rest may be pinched into
+    several regions, so those cycles get the search.
     """
-    if any(v in boundary for v in cycle):
+    if len(boundary.intersection(cycle)) > 1:
         return False
     if len(cycle) == 3:
-        return tri.is_face(*cycle)
+        return _is_face(tri, *cycle)
     u, x, v, y = cycle
-    return ((tri.is_face(u, x, v) and tri.is_face(u, v, y))
-            or (tri.is_face(x, u, y) and tri.is_face(x, v, y)))
+    return ((_is_face(tri, u, x, v) and _is_face(tri, u, v, y))
+            or (_is_face(tri, x, u, y) and _is_face(tri, x, v, y)))
 
 
 def _separates(tri: AbstractTriangulation, cycle, boundary) -> bool:
@@ -564,11 +709,13 @@ def _separates(tri: AbstractTriangulation, cycle, boundary) -> bool:
 def separating_cycles(tri: AbstractTriangulation):
     """All 3- and 4-cycles that cut the surface into two or more regions each
     containing at least one vertex off the cycle."""
-    boundary = tri.boundary_vertices()
-    return [CycleWitness(cycle=c, kind=kind, components=separating_interiors(tri, c))
-            for kind, cycles in (("separating-3-cycle", triangles_of_graph(tri)),
-                                 ("separating-4-cycle", four_cycles(tri)))
-            for c in cycles if _separates(tri, c, boundary)]
+    boundary = tri._boundary
+    found = [CycleWitness(cycle=_named(tri, t), kind="separating-3-cycle",
+                          components=_components(tri, t))
+             for t in _triangle_ids(tri) if _separates(tri, t, boundary)]
+    return found + [CycleWitness(cycle=c, kind="separating-4-cycle",
+                                 components=_components(tri, ids))
+                    for c, ids in _named_four_cycles(tri) if _separates(tri, ids, boundary)]
 
 
 def is_flag_no_square(tri: AbstractTriangulation) -> bool:
@@ -581,8 +728,9 @@ def is_flag_no_square(tri: AbstractTriangulation) -> bool:
 
 def is_flag_no_separating_square(tri: AbstractTriangulation) -> bool:
     """Flag and no separating 4-cycle (closed or planar input)."""
-    boundary = tri.boundary_vertices()
-    return is_flag(tri) and not any(_separates(tri, c, boundary) for c in four_cycles(tri))
+    boundary = tri._boundary
+    return is_flag(tri) and not any(_separates(tri, ids, boundary)
+                                    for _, ids in _named_four_cycles(tri))
 
 
 def low_degree_interior_vertices(tri: AbstractTriangulation):
@@ -593,9 +741,9 @@ def low_degree_interior_vertices(tri: AbstractTriangulation):
     such a vertex obstructs acute realizability even when the flag and
     separating-square tests pass (the bare square wheel is the one
     flag-no-separating-square example)."""
-    boundary = tri.boundary_vertices()
+    boundary, nbrs, index = tri._boundary, tri._nbrs, tri._id
     return tuple(v for v in tri.vertices
-                 if v not in boundary and tri.degree(v) <= 4)
+                 if index[v] not in boundary and len(nbrs[index[v]]) <= 4)
 
 
 def first_obstruction(tri: AbstractTriangulation) -> Optional[CycleWitness]:
@@ -605,24 +753,24 @@ def first_obstruction(tri: AbstractTriangulation) -> Optional[CycleWitness]:
     Degenerate case: a 4-clique with no empty 3-cycle occurs only for the
     boundary of the tetrahedron; it is reported with kind ``four-clique``.
     """
-    empty = empty_three_cycles(tri)
+    empty = _empty_triangle_ids(tri)
     if empty:
         t = empty[0]
         if len(_regions(tri, t)) >= 2:
-            return CycleWitness(cycle=t, kind="separating-3-cycle",
-                                components=separating_interiors(tri, t))
-        return CycleWitness(cycle=t, kind="empty-3-cycle")
-    for c in four_cycles(tri):
-        if has_chord(tri, c):
+            return CycleWitness(cycle=_named(tri, t), kind="separating-3-cycle",
+                                components=_components(tri, t))
+        return CycleWitness(cycle=_named(tri, t), kind="empty-3-cycle")
+    for c, ids in _named_four_cycles(tri):
+        if _has_chord(tri, ids):
             continue
-        if len(_regions(tri, c)) >= 2:
+        if len(_regions(tri, ids)) >= 2:
             return CycleWitness(cycle=c, kind="separating-4-cycle",
-                                components=separating_interiors(tri, c))
+                                components=_components(tri, ids))
         if tri.is_closed:
             return CycleWitness(cycle=c, kind="chordless-4-cycle")
-    cliques = four_cliques(tri)
+    cliques = _four_clique_ids(tri)
     if cliques:
-        return CycleWitness(cycle=cliques[0], kind="four-clique")
+        return CycleWitness(cycle=_named(tri, cliques[0]), kind="four-clique")
     return None
 
 
@@ -662,13 +810,9 @@ def empty_3cycle_obstruction(tri: AbstractTriangulation) -> bool:
     Such a cycle certifies that the triangulation admits no realization as an
     acute geodesic triangulation inside the sphere.
     """
-    boundary = tri.boundary_edges
-    for t in empty_three_cycles(tri):
-        u, v, w = t
-        cycle_edges = (_edge(u, v), _edge(v, w), _edge(w, u))
-        if not any(e in boundary for e in cycle_edges):
-            return True
-    return False
+    edge_faces = tri._edge_faces
+    return any(all(len(edge_faces[e]) == 2 for e in ((u, v), (v, w), (u, w)))
+               for u, v, w in _empty_triangle_ids(tri))
 
 
 # -- constructive operations ---------------------------------------------
@@ -678,18 +822,17 @@ def diagonal_flip(tri: AbstractTriangulation, edge) -> AbstractTriangulation:
     """Replace an interior edge by the opposite diagonal of the square formed
     by its two incident faces."""
     u, v = tuple(edge)
-    e = _edge(u, v)
-    if e not in tri.edges:
+    i, j = tri._id.get(u), tri._id.get(v)
+    if i is None or j is None or not _has_edge(tri, i, j):
         raise ValidationError(f"no such edge: {sorted((u, v))}")
-    fs = tri.edge_faces[e]
+    fs = tri._edge_faces[(i, j) if i < j else (j, i)]
     if len(fs) != 2:
         raise ValidationError(f"cannot flip boundary edge {sorted((u, v))}")
-    w = next(x for x in fs[0] if x not in e)
-    x = next(y for y in fs[1] if y not in e)
+    w, x = (tri._names[tri._face_sums[k] - i - j] for k in fs)
     if tri.has_edge(w, x):
         raise ValidationError(
             f"flip of {sorted((u, v))} would create a doubled edge {sorted((w, x))}")
-    new_faces = [f for f in tri.faces if _face(*f) not in (fs[0], fs[1])]
+    new_faces = [f for k, f in enumerate(tri.faces) if k not in fs]
     new_faces.append((w, x, u))
     new_faces.append((w, x, v))
     return AbstractTriangulation(tri.vertices, new_faces)
@@ -795,7 +938,7 @@ def coxeter_one_ended(tri: AbstractTriangulation, labeling: EdgeLabeling) -> boo
             raise ValidationError(
                 f"face {tuple(f)} induces an infinite triangle group")
     nv = len(tri.vertices)
-    if len(tri.edges) == nv * (nv - 1) // 2:
+    if len(tri._edge_faces) == nv * (nv - 1) // 2:
         return False
     for t in empty_three_cycles(tri):
         u, v, w = t
@@ -820,11 +963,9 @@ def ideal_allright_conditions(tri: AbstractTriangulation) -> bool:
         raise ValidationError("ideal_allright_conditions expects a closed triangulation")
     if not is_flag(tri):
         raise ValidationError("ideal_allright_conditions expects a flag triangulation")
-    if not all(any(len(interior) == 1 for interior in _regions(tri, c))
-               for c in four_cycles(tri) if not has_chord(tri, c)):
+    if not all(any(len(interior) == 1 for interior in _regions(tri, ids))
+               for _, ids in _named_four_cycles(tri) if not _has_chord(tri, ids)):
         return False
-    deg4 = [v for v in tri.vertices if tri.degree(v) == 4]
-    for u, v in combinations(deg4, 2):
-        if tri.has_edge(u, v):
-            return False
-    return True
+    nbrs = tri._nbrs
+    return not any(len(nbrs[v]) == 4 and any(len(nbrs[u]) == 4 for u in nbrs[v])
+                   for v in range(len(nbrs)))

@@ -50,6 +50,64 @@ def random_flips(tri, rng, count, keep=None):
     return tri
 
 
+def reference_tables(vertices, faces):
+    """String-keyed oracle of the name views of ``AbstractTriangulation``:
+    the tables its constructor once built over frozensets of names, for
+    valid input.  Returns ``edges``, ``face_set``, ``edge_faces`` (each value
+    in face order), ``adjacency``, ``boundary_edges``, ``boundary_cycles``
+    and ``link_cycles`` (interior vertices only)."""
+    from acutesphere.triangulation import canonical_cycle
+
+    faces = [tuple(str(v) for v in f) for f in faces]
+    edge_faces = {}
+    for f in faces:
+        for u, v in itertools.combinations(f, 2):
+            edge_faces.setdefault(frozenset((u, v)), []).append(frozenset(f))
+    edge_faces = {e: tuple(fs) for e, fs in edge_faces.items()}
+    adjacency = {str(v): set() for v in vertices}
+    for e in edge_faces:
+        u, v = tuple(e)
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    boundary_edges = frozenset(e for e, fs in edge_faces.items() if len(fs) == 1)
+
+    def walk(adj, start):
+        out = [start]
+        prev, cur = start, adj[start][0]
+        while cur != start:
+            out.append(cur)
+            ns = adj[cur]
+            if len(ns) == 1:
+                break
+            prev, cur = cur, (ns[1] if ns[0] == prev else ns[0])
+        return out
+
+    nbr = {}
+    for e in boundary_edges:
+        u, v = tuple(e)
+        nbr.setdefault(u, []).append(v)
+        nbr.setdefault(v, []).append(u)
+    cycles, visited = [], set()
+    for start in sorted(nbr):
+        if start not in visited:
+            cycle = walk(nbr, start)
+            visited.update(cycle)
+            cycles.append(canonical_cycle(cycle))
+    links = {str(v): {} for v in vertices}
+    for f in faces:
+        for v in f:
+            u, w = [x for x in f if x != v]
+            links[v].setdefault(u, []).append(w)
+            links[v].setdefault(w, []).append(u)
+    link_cycles = {v: tuple(walk(link, next(iter(link)))) for v, link in links.items()
+                   if all(len(ns) == 2 for ns in link.values())}
+    return {"edges": frozenset(edge_faces), "face_set": frozenset(map(frozenset, faces)),
+            "edge_faces": edge_faces,
+            "adjacency": {v: frozenset(ns) for v, ns in adjacency.items()},
+            "boundary_edges": boundary_edges, "boundary_cycles": tuple(sorted(cycles)),
+            "link_cycles": link_cycles}
+
+
 def reference_link_cycle(tri, v):
     """Face-scan oracle of ``AbstractTriangulation.link_cycle``: the link
     edges of ``v`` gathered from every face in face order, then walked from

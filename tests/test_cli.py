@@ -80,6 +80,22 @@ def test_realize_positions_independent_of_hash_seed():
     assert len(positions) == 1
 
 
+def test_realize_report_independent_of_hash_seed():
+    # the Tutte start adds each vertex's pinned neighbours in name order; in
+    # set order, the vertices of square_disk_b with three or more pinned
+    # neighbours summed them differently under other string hash seeds
+    src = str(Path(acutesphere.__file__).resolve().parents[1])
+    outputs = set()
+    for hash_seed in ("0", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "acutesphere.cli", "realize", fixture_file("square_disk_b")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+
+
 def test_check_enumerates_cycles_once(capsys, monkeypatch):
     # has_chordless_square, separating_cycles, ideal_allright_conditions and
     # first_obstruction all read the cycles cached on the one triangulation,
@@ -137,6 +153,34 @@ def test_check_malformed_file(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, ["check", str(bad)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("doc", [
+    {"vertices": [], "faces": []},
+    {"vertices": ["a", "b", "c"], "faces": [1]},
+    {"vertices": 5, "faces": [["a", "b", "c"]]},
+    {"vertices": None, "faces": [["a", "b", "c"]]},
+], ids=["empty", "face-not-a-list", "vertices-a-number", "vertices-null"])
+def test_check_malformed_document(tmp_path, capsys, doc):
+    # well-formed JSON of the wrong shape is an input error, not a traceback
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(path)])
+    assert exc.value.code == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_boundary_triangle_checks_but_is_not_realized(tmp_path, capsys):
+    # a boundary 3-cycle passes the combinatorial criterion, but no cap or
+    # wheel closes it, so realize refuses it as an input error
+    path = tmp_path / "face.json"
+    path.write_text(serialize(AbstractTriangulation(["a", "b", "c"], [("a", "b", "c")])))
+    code, report, _ = run(capsys, ["check", str(path)])
+    assert code == 0 and report["verdicts"]["acute_realizable"]
+    code, report, err = run(capsys, ["realize", str(path)])
+    assert code == 2 and report is None
+    assert "boundary 3-cycles are not supported by the capping pipeline" in err
 
 
 def test_check_labeled(capsys):

@@ -832,7 +832,7 @@ def test_vectorised_pattern_checks_match_pair_loop():
             assert np.max(np.abs(residuals.nonedge_clearances - list(brute.values())),
                           initial=0.0) <= 1e-15, name
             brute_edges = []
-            for e in tri.edges:
+            for e in tri.edge_faces:
                 a, b = (index[x] for x in e)
                 brute_edges.append(math.cos(spherical_distance(pos[a], pos[b]))
                                    - math.cos(r[a]) * math.cos(r[b]))

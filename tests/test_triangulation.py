@@ -17,7 +17,7 @@ from acutesphere.triangulation import (
     is_flag_no_separating_square, is_flag_no_square, itoh_face_predicate,
     maehara_cap, parse_document, separating_cycles, separating_interiors, serialize,
     square_wheel, triangles_of_graph)
-from conftest import cycle_sides, random_flips, reference_link_cycle
+from conftest import cycle_sides, random_flips, reference_link_cycle, reference_tables
 
 
 # -- independent brute-force oracles ----------------------------------------
@@ -259,6 +259,36 @@ def test_link_cycle_matches_face_scan(load):
             assert tri.link_cycle(v) == reference_link_cycle(tri, v), (tri, v)
 
 
+def test_name_views_match_reference_tables(load):
+    # the name-keyed views and link cycles, built from the id tables, equal
+    # the string-keyed tables of the reference constructor, with edge_faces
+    # in the same key order and each value in face order
+    rng = random.Random(20261022)
+    corpus = [load(name) for name in fixtures.FIXTURE_NAMES]
+    for n in range(5, 41):
+        corpus += [maehara_cap(n), double(maehara_cap(n))]
+    small = [load(name) for name in ("icosahedron", "sphere_28", "sphere_34")]
+    small += [double(maehara_cap(n)) for n in (5, 8)]
+    corpus += [random_flips(base, rng, rng.randint(1, 20)) for base in small for _ in range(4)]
+    punctured = []
+    while len(punctured) < 20:
+        hole = _punctured(rng.choice(corpus[-20:]), rng, rng.randint(1, 3))
+        if hole is not None:
+            punctured.append(hole)
+    for tri in corpus + punctured:
+        ref = reference_tables(tri.vertices, tri.faces)
+        for name in ("edges", "face_set", "adjacency", "boundary_edges", "boundary_cycles"):
+            assert getattr(tri, name) == ref[name], (tri, name)
+        assert list(tri.edge_faces.items()) == list(ref["edge_faces"].items()), tri
+        interior = [v for v in tri.vertices if v not in tri.boundary_vertices()]
+        assert sorted(interior) == sorted(ref["link_cycles"]), tri
+        for v in interior:
+            assert tri.link_cycle(v) == ref["link_cycles"][v], (tri, v)
+        assert all(tri.degree(v) == len(ref["adjacency"][v]) for v in tri.vertices), tri
+        # oriented once per triangulation
+        assert tri.oriented_faces() is tri.oriented_faces()
+
+
 def test_oriented_faces_use_each_directed_edge_once(load):
     # a consistent orientation traverses each directed edge at most once,
     # and on a closed surface every edge once in each direction
@@ -299,6 +329,18 @@ def test_parse_rejects_bad_faces():
         AbstractTriangulation(["a", "b", "c", "d"],
                               [("a", "b", "c"), ("c", "b", "a"), ("a", "b", "d"),
                                ("a", "c", "d"), ("b", "c", "d")])
+
+
+def test_vertex_names_are_strings():
+    # names that are not strings are converted before validation, so the
+    # faces, views and messages all show strings
+    tri = AbstractTriangulation([1, 2, 3], [(1, 2, 3)])
+    assert tri.faces == (("1", "2", "3"),) and tri.has_edge("1", "2")
+    assert tri.boundary_cycles == (("1", "2", "3"),)
+    with pytest.raises(ValidationError, match=re.escape("face ('1', '2', '4') uses unknown vertex '4'")):
+        AbstractTriangulation([1, 2, 3], [(1, 2, 4)])
+    with pytest.raises(ValidationError, match=re.escape("repeated or missing vertices: ('1', '2')")):
+        AbstractTriangulation([1, 2, 3], [("1", 2)])
 
 
 def test_serialize_parse_roundtrip_all_fixtures():
