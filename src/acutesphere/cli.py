@@ -8,6 +8,7 @@ realizable, 1 obstruction or certified absence, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -293,7 +294,9 @@ def cmd_construct(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    # built once per process: parse_args never mutates it
     ap = argparse.ArgumentParser(prog="acutesphere",
                                  description="Acute geodesic triangulations of the sphere")
     ap.add_argument("--version", action="version", version=__version__)

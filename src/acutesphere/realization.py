@@ -522,19 +522,25 @@ def project_euclidean(result: RealizationResult,
 class AlphaEstimate:
     value: float
     realization: GeodesicRealization
+    # descents run: 1 when the circle-pattern start passes validity, else
+    # that start (if any) plus the seeded Tutte fallback starts
     starts: int
     valid: bool
-    # max angle reached from each start; distinct local solutions are
-    # recorded but nothing is asserted about the topology of the space of
-    # acute realizations
+    # max angle reached from each start, in the order run; distinct local
+    # solutions are recorded but nothing is asserted about the topology of
+    # the space of acute realizations
     per_start: tuple = ()
     # the circle-pattern realization that seeded the search; None when the
     # input is not flag no-square or the pattern solve failed
     seeded_from: Optional[RealizationResult] = None
+    # the reported start's L-BFGS-B stages as (sharpness, nit, nfev,
+    # status); status 1 means the stage stopped at its iteration limit
+    stages: tuple = ()
 
     def to_json(self):
         return {"value": self.value, "starts": self.starts, "valid": self.valid,
-                "per_start": list(self.per_start)}
+                "per_start": list(self.per_start),
+                "stages": [list(stage) for stage in self.stages]}
 
 
 def _corner_terms(pos, corner_idx):
@@ -599,10 +605,13 @@ def _smoothed_max_angle(flat, corner_idx, sharpness):
     dq = k * cosang * q / (nc * nc) - ds * p
     a, b, c = corner_idx
     A, B, C = u[a], u[b], u[c]
-    g = np.zeros_like(u)
-    np.add.at(g, a, dp[:, None] * B + dq[:, None] * C)
-    np.add.at(g, b, dp[:, None] * A + ds[:, None] * C)
-    np.add.at(g, c, dq[:, None] * A + ds[:, None] * B)
+    # one pass over the (a, b, c) corner terms; bincount adds in input order,
+    # as np.add.at would, so the sums are the same to the bit
+    idx = np.concatenate(corner_idx)
+    terms = np.concatenate((dp[:, None] * B + dq[:, None] * C,
+                            dp[:, None] * A + ds[:, None] * C,
+                            dq[:, None] * A + ds[:, None] * B)).T
+    g = np.stack([np.bincount(idx, w, minlength=len(u)) for w in terms], axis=1)
     g -= np.einsum("ij,ij->i", g, u)[:, None] * u
     return value, (g / norms[:, None]).ravel()
 
@@ -620,9 +629,12 @@ def alpha_estimate(tri: AbstractTriangulation, seed: int = 0, starts: int = 3,
     """Local minimax estimate of the smallest achievable maximum corner angle.
 
     Minimizes a smoothed maximum of all corner angles over vertex positions
-    (multi-start, temperature schedule).  When the triangulation is flag
-    no-square the circle-pattern realization (solved to ``tol``) seeds the
-    search and is returned with the estimate.
+    (temperature schedule).  When the triangulation is flag no-square, its
+    circle-pattern realization (solved to ``tol``) is the one start, and it
+    is returned with the estimate.  ``starts`` seeded Tutte layouts are the
+    fallback: they run when there is no pattern realization (the input is
+    not flag no-square, or the solve failed) or when the descent from it
+    ends in a configuration that fails validity.
 
     The reported value is the true maximum corner angle of the best
     configuration that passes the realization validity checks (unit
@@ -637,52 +649,59 @@ def alpha_estimate(tri: AbstractTriangulation, seed: int = 0, starts: int = 3,
         raise ValidationError("alpha_estimate expects a closed triangulation")
     index = {v: i for i, v in enumerate(tri.vertices)}
     corner_idx = _corner_index_arrays(tri)
-    rng = np.random.default_rng(seed)
     fns = is_flag_no_square(tri)
     check = _invariant_check(tri)
 
-    inits = []
-    seeded_from = None
-    if fns:
-        try:
-            seeded_from = realize_sphere(tri, seed=seed, tol=tol)
-            inits.append(seeded_from.realization.position_array())
-        except SolveError:
-            pass
-    for k in range(starts):
-        pole = tri.vertices[int(rng.integers(len(tri.vertices)))]
-        inits.append(tutte_sphere_init(tri, pole, rng))
-
-    best_val = math.inf
-    best_pos = None
-    best_valid = False
+    # (valid, max angle, positions, stages) of the best end point so far
+    best = (False, math.inf, None, ())
     per_start = []
-    for pos0 in inits:
+
+    def descend(pos0):
+        nonlocal best
         flat = pos0.ravel().copy()
+        stages = []
         for sharpness in (30.0, 120.0, 600.0):
             out = minimize(_smoothed_max_angle, flat, args=(corner_idx, sharpness),
                            jac=True, method="L-BFGS-B",
                            options={"maxiter": 300, "ftol": 1e-14, "gtol": 1e-10})
             flat = out.x
+            stages.append((sharpness, int(out.nit), int(out.nfev), int(out.status)))
         pos = flat.reshape(-1, 3)
         pos = pos / np.linalg.norm(pos, axis=1)[:, None]
         valid = check(pos, None, angle_tol=1e-6, area_tol=1e-4) is None
         val = float(_all_corner_angles(pos, corner_idx).max())
         per_start.append(val)
-        if (valid, -val) > (best_valid, -best_val):
-            best_val, best_pos, best_valid = val, pos, valid
+        if (valid, -val) > (best[0], -best[1]):
+            best = (valid, val, pos, tuple(stages))
 
+    seeded_from = None
+    if fns:
+        try:
+            seeded_from = realize_sphere(tri, seed=seed, tol=tol)
+        except SolveError:
+            pass
+        else:
+            descend(seeded_from.realization.position_array())
+    if not best[0]:
+        rng = np.random.default_rng(seed)
+        for _ in range(starts):
+            pole = tri.vertices[int(rng.integers(len(tri.vertices)))]
+            descend(tutte_sphere_init(tri, pole, rng))
+
+    best_valid, best_val, best_pos, stages = best
     real = GeodesicRealization(tri, {v: best_pos[index[v]] for v in tri.vertices})
-    # inputs that are not flag no-square have alpha >= pi/2; the exact
-    # gradient drives some of them (the octahedron, alpha = pi/2 exactly) to
-    # within 1e-13 of pi/2, so a dip below it by rounding is no inconsistency
-    if best_val < math.pi / 2 - 1e-12 and not (fns and best_valid):
+    # inputs that are not flag no-square have alpha >= pi/2, so a valid acute
+    # configuration of one contradicts the theorem; the exact gradient drives
+    # some of them (the octahedron, alpha = pi/2 exactly) to within 1e-13 of
+    # pi/2, so a dip below it by rounding is no inconsistency
+    if best_valid and not fns and best_val < math.pi / 2 - 1e-12:
         raise InternalInconsistency(
-            "optimizer reports an acute maximum for a triangulation that is "
-            "not flag no-square or failed validity")
+            "optimizer reports a valid acute configuration of a triangulation "
+            "that is not flag no-square")
     return AlphaEstimate(value=best_val, realization=real,
-                         starts=len(inits), valid=best_valid,
-                         per_start=tuple(per_start), seeded_from=seeded_from)
+                         starts=len(per_start), valid=best_valid,
+                         per_start=tuple(per_start), seeded_from=seeded_from,
+                         stages=stages)
 
 
 # -- subordinate check -------------------------------------------------------

@@ -386,6 +386,35 @@ def reference_jacobian(problem, theta):
     return J
 
 
+def reference_smoothed_max_angle(flat, corner_idx, sharpness):
+    """``realization._smoothed_max_angle`` with its gradient scattered by
+    three ``np.add.at`` calls, one per corner role (a, b, c)."""
+    from acutesphere.realization import _corner_terms
+    x = flat.reshape(-1, 3)
+    norms = np.maximum(np.linalg.norm(x, axis=1), 1e-12)
+    u = x / norms[:, None]
+    angles, p, q, nb, nc, cosang, ok = _corner_terms(u, corner_idx)
+    m = float(angles.max())
+    e = np.exp(sharpness * (angles - m))
+    total = float(e.sum())
+    value = m + math.log(total) / sharpness
+    sin = np.sqrt(np.maximum(1.0 - cosang * cosang, 0.0))
+    live = ok & (sin > 1e-12)
+    nb, nc, sin = (np.where(live, t, 1.0) for t in (nb, nc, sin))
+    k = np.where(live, -e / (total * sin), 0.0)
+    ds = k / (nb * nc)
+    dp = k * cosang * p / (nb * nb) - ds * q
+    dq = k * cosang * q / (nc * nc) - ds * p
+    a, b, c = corner_idx
+    A, B, C = u[a], u[b], u[c]
+    g = np.zeros_like(u)
+    np.add.at(g, a, dp[:, None] * B + dq[:, None] * C)
+    np.add.at(g, b, dp[:, None] * A + ds[:, None] * C)
+    np.add.at(g, c, dq[:, None] * A + ds[:, None] * B)
+    g -= np.einsum("ij,ij->i", g, u)[:, None] * u
+    return value, (g / norms[:, None]).ravel()
+
+
 def stereographic(p, viewpoint, frame):
     """Plane coordinates of the unit vector p projected from ``viewpoint``."""
     e1, e2 = frame

@@ -448,3 +448,27 @@ def test_check_and_realize_agree_on_flip_walks(tmp_path, capsys):
             else:
                 assert real["witnesses"][0]["kind"] == check["witnesses"][0]["kind"], k
     assert outcomes[1] >= 10, outcomes
+
+
+def test_main_calls_in_one_process_match_fresh_processes(capsys):
+    # the parser is built once per process; successive calls on different
+    # subcommands, with usage errors between them, must behave as if each
+    # ran alone
+    assert cli.build_parser() is cli.build_parser()
+    src = str(Path(acutesphere.__file__).resolve().parents[1])
+    runs = (["check", fixture_file("icosahedron")],
+            ["check"],
+            ["construct", "cap", "5"],
+            ["dual", "--triangle", "0.7,0.8,0.9", "--target", "2,2,2"],
+            ["invariants", fixture_file("tetrahedron"), "--seed", "x"],
+            ["--version"])
+    for argv in runs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "acutesphere.cli", *argv],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv

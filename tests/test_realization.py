@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from acutesphere import fixtures, pattern
+from acutesphere import fixtures, pattern, realization
 from acutesphere.errors import SolveError, ValidationError
 from acutesphere.exports import realization_svg
 from acutesphere.klein import boost_to
@@ -25,7 +25,8 @@ from acutesphere.triangulation import (AbstractTriangulation, EdgeLabeling, doub
                                        is_flag_no_square, maehara_cap)
 
 from conftest import (reference_euclidean_circle, reference_initial_radii, reference_jacobian,
-                      reference_moebius_normalize, reference_transport_pattern, stereographic)
+                      reference_moebius_normalize, reference_smoothed_max_angle,
+                      reference_transport_pattern, stereographic)
 
 
 @pytest.fixture(scope="module")
@@ -327,6 +328,95 @@ def test_alpha_octahedron_at_right_angle(load):
 def test_alpha_obs_double(load):
     a = alpha_estimate(load("square_disk_a_double"), seed=0, starts=2)
     assert a.value >= math.pi / 2
+
+
+def test_alpha_obs_double_reports_folded_end_points(load):
+    # at seed 2 every Tutte end point fails validity and the best of them
+    # reads below pi/2; that is reported with valid=False, not raised
+    tri = load("square_disk_a_double")
+    for seed in range(4):
+        a = alpha_estimate(tri, seed=seed)
+        assert a.starts == 3, seed
+        assert a.seeded_from is None
+        if a.valid:
+            assert a.value >= math.pi / 2, seed
+
+
+def _counted_minimize(monkeypatch):
+    calls = []
+    original = realization.minimize
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["args"][1])  # the sharpness
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(realization, "minimize", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["icosahedron", "sphere_28", "sphere_34", "double_cap_5"])
+def test_alpha_descends_once_from_the_pattern(load, monkeypatch, name):
+    tri = double(maehara_cap(5)) if name == "double_cap_5" else load(name)
+    calls = _counted_minimize(monkeypatch)
+    a = alpha_estimate(tri, seed=0)
+    assert calls == [30.0, 120.0, 600.0]
+    assert a.starts == 1 and len(a.per_start) == 1
+    assert a.value == a.per_start[0]
+    assert a.valid and a.seeded_from is not None
+    assert [stage[0] for stage in a.stages] == [30.0, 120.0, 600.0]
+    assert sum(stage[2] for stage in a.stages) > 0
+    assert a.to_json()["stages"] == [list(stage) for stage in a.stages]
+
+
+def test_alpha_falls_back_to_tutte_starts_when_seeded_end_fails(load, monkeypatch):
+    tri = load("icosahedron")
+    # the Tutte fallback alone: the same starts as when there is no pattern
+    def no_pattern(*args, **kwargs):
+        raise SolveError("no pattern")
+
+    with monkeypatch.context() as m:
+        m.setattr(realization, "realize_sphere", no_pattern)
+        unseeded = alpha_estimate(tri, seed=0, starts=2)
+    assert unseeded.starts == 2 and unseeded.seeded_from is None
+
+    # the validity pass rejects the first end point, the seeded one
+    seeded = realize_sphere(tri, seed=0)
+    monkeypatch.setattr(realization, "realize_sphere", lambda *args, **kwargs: seeded)
+    build = realization._invariant_check
+
+    def rejecting_first(*args, **kwargs):
+        check = build(*args, **kwargs)
+        seen = []
+
+        def wrapped(*a, **k):
+            seen.append(None)
+            return "rejected" if len(seen) == 1 else check(*a, **k)
+        return wrapped
+
+    monkeypatch.setattr(realization, "_invariant_check", rejecting_first)
+    calls = _counted_minimize(monkeypatch)
+    a = alpha_estimate(tri, seed=0, starts=2)
+    assert calls == [30.0, 120.0, 600.0] * 3
+    assert a.starts == 3 and a.seeded_from is seeded
+    assert a.per_start[1:] == unseeded.per_start
+    assert a.valid
+    assert a.value == min(unseeded.per_start)
+
+
+def test_smoothed_max_angle_gradient_matches_add_at_scatter(load):
+    # the one-pass bincount scatter sums in the order np.add.at does
+    rng = np.random.default_rng(11)
+    tris = [load(n) for n in ("icosahedron", "sphere_28", "sphere_34",
+                              "square_disk_a_double")] + [double(maehara_cap(5))]
+    for tri in tris:
+        corners = _corner_index_arrays(tri)
+        for _ in range(8):
+            flat = rng.normal(size=3 * len(tri.vertices))
+            for sharpness in (30.0, 120.0, 600.0):
+                value, grad = _smoothed_max_angle(flat, corners, sharpness)
+                ref_value, ref_grad = reference_smoothed_max_angle(flat, corners, sharpness)
+                assert value == ref_value
+                assert np.array_equal(grad, ref_grad)
 
 
 def test_subordinate_all_two(ico_result):
