@@ -249,7 +249,8 @@ def cmd_invariants(args):
     verdicts = {"flag_no_square": is_flag_no_square(tri)}
     report = _report("invariants", args, verdicts, metrics=metrics, notes=notes)
     beta_txt = f"beta={metrics['beta']:.12f}" if "beta" in metrics else "beta refused"
-    _emit(report, f"alpha={alpha.value:.6f}, {beta_txt}")
+    alpha_txt = "" if alpha.valid else " (no valid realization)"
+    _emit(report, f"alpha={alpha.value:.6f}{alpha_txt}, {beta_txt}")
     return EXIT_OK
 
 

@@ -8,14 +8,15 @@ scalar equations
     sigma_{c,gamma}(x, y) = cos(gamma) sqrt((1-x^2)(1-y^2)) - x y + cos(c) = 0
 
 one per pair of feet, where c is a side of the first triangle and gamma the
-matching angle of the second.  This module solves those systems; the cube
+matching angle of the second.  Each curve's root y(x) is a closed form
+(``SigmaCurve.solve_y``); this module solves the systems, and the cube
 reconstruction itself lives in ``klein``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -30,11 +31,16 @@ SIGMA_RESIDUAL_TOL = 1e-10
 def sigma(c: float, gamma: float, x, y):
     """sigma_{c,gamma}(x, y), elementwise over scalars or numpy arrays (x, y
     in [0, 1])."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    val = (np.cos(gamma) * np.sqrt(np.maximum(0.0, (1 - x * x) * (1 - y * y)))
-           - x * y + np.cos(c))
-    return float(val) if val.ndim == 0 else val
+    return _sigma(math.cos(c), math.cos(gamma), x, y)
+
+
+def _sigma(cc: float, cg: float, x, y):
+    """sigma with cos c = cc and cos gamma = cg, with math on floats and
+    elementwise on arrays (same rounding).  1 - x^2 is taken as
+    (1 - x)(1 + x), which keeps its relative accuracy as x approaches 1."""
+    if isinstance(x, float) and isinstance(y, float):
+        return cg * math.sqrt(max(0.0, (1 - x) * (1 + x) * ((1 - y) * (1 + y)))) - x * y + cc
+    return cg * np.sqrt(np.maximum(0.0, (1 - x) * (1 + x) * ((1 - y) * (1 + y)))) - x * y + cc
 
 
 def foot_parameter(a: float) -> float:
@@ -55,6 +61,8 @@ class SigmaCurve:
 
     c: float
     gamma: float
+    _cc: float = field(init=False, repr=False, compare=False)
+    _cg: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.c < math.pi):
@@ -67,36 +75,46 @@ class SigmaCurve:
         if self.gamma >= math.pi - self.c:
             raise ValidationError(
                 f"gamma={self.gamma!r} must be below pi - c = {math.pi - self.c!r}")
+        # cos c and cos gamma, shared by the scalar and the array forms
+        object.__setattr__(self, "_cc", math.cos(self.c))
+        object.__setattr__(self, "_cg", math.cos(self.gamma))
 
     def __call__(self, x, y):
-        return sigma(self.c, self.gamma, x, y)
+        return _sigma(self._cc, self._cg, x, y)
 
     def x_domain(self) -> tuple:
         """Open interval of x values for which a root y in (0, 1) exists.
 
         For c <= pi/2 the curve joins (cos c, 1) to (1, cos c); for c > pi/2
         it joins the axes at (0, y0) and (x0, 0)."""
-        cc = math.cos(self.c)
+        cc = self._cc
         if cc >= 0.0:
             return (cc, 1.0)
-        hi = math.sqrt(max(0.0, 1.0 - cc * cc / math.cos(self.gamma) ** 2))
+        hi = math.sqrt(max(0.0, 1.0 - cc * cc / self._cg ** 2))
         return (0.0, hi)
 
     def solve_y(self, x: float) -> float:
         """The unique y in [0, 1] with sigma(x, y) = 0, for x in the closed
-        domain."""
+        domain.  Squaring sigma = 0 gives (x^2 + k^2) y^2 - 2 C x y + C^2 -
+        k^2 = 0 with C = cos c and k = cos(gamma) sqrt(1 - x^2); sigma's own
+        root is its root with x y >= C, polished by two Newton steps."""
         lo, hi = self.x_domain()
         if not (lo <= x <= hi):
             raise GeometryError(f"x={x!r} outside curve domain ({lo!r}, {hi!r})")
-        f0, f1 = self(x, 0.0), self(x, 1.0)
-        # inside the domain f0 >= 0 >= f1; a sign past zero is rounding at
-        # an end of the domain, where the root is that end
-        if f0 <= 0.0:
+        # inside the domain sigma(x, 0) >= 0 >= sigma(x, 1); a sign past zero
+        # is rounding at an end of the domain, where the root is that end
+        if self(x, 0.0) <= 0.0:
             return 0.0
-        if f1 >= 0.0:
+        if self(x, 1.0) >= 0.0:
             return 1.0
-        from scipy.optimize import brentq
-        y = brentq(lambda t: self(x, t), 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
+        cc = self._cc
+        k = self._cg * math.sqrt((1 - x) * (1 + x))
+        root = k * math.sqrt(max(0.0, (x - cc) * (x + cc) + k * k))
+        # (C x + root) / (x^2 + k^2) cancels when C x < 0; its conjugate
+        # form (C^2 - k^2) / (C x - root) does not
+        y = ((cc * x + root) / (x * x + k * k) if cc * x >= 0.0
+             else (cc * cc - k * k) / (cc * x - root))
+        y = min(1.0, max(0.0, y))
         # Newton polish; d(sigma)/dy < 0 throughout
         for _ in range(2):
             d = self._dy(x, y)
@@ -105,43 +123,23 @@ class SigmaCurve:
             y = min(1.0, max(0.0, y - self(x, y) / d))
         return y
 
-    def solve_y_grid(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized solve_y over an array of x values (bisection + Newton)."""
-        xs = np.asarray(xs, float)
-        lo = np.zeros_like(xs)
-        hi = np.ones_like(xs)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            pos = self(xs, mid) > 0.0
-            lo = np.where(pos, mid, lo)
-            hi = np.where(pos, hi, mid)
-        y = 0.5 * (lo + hi)
-        for _ in range(2):
-            d = self._dy(xs, y)
-            step = np.where(d != 0.0, self(xs, y) / np.where(d == 0.0, 1.0, d), 0.0)
-            y = np.clip(y - step, 0.0, 1.0)
-        return y
-
     def _dy(self, x, y):
         """d(sigma)/dy, elementwise (a float for float arguments)."""
-        sx, sy = _sines(x), _sines(y)
-        return _float_if_scalar(-math.cos(self.gamma) * y * sx / sy - x)
+        return -self._cg * y * _sines(x) / _sines(y) - x
 
     def derivative_dy_dx(self, x, y):
         """dy/dx along the zero set (strictly negative), elementwise (a float
         for float arguments)."""
-        sx, sy = _sines(x), _sines(y)
-        cg = math.cos(self.gamma)
-        return _float_if_scalar(-(y + x * sy * cg / sx) / (x + y * sx * cg / sy))
+        sx, sy, cg = _sines(x), _sines(y), self._cg
+        return -(y + x * sy * cg / sx) / (x + y * sx * cg / sy)
 
 
 def _sines(c):
-    """sqrt(1 - c^2), kept above zero."""
+    """sqrt(1 - c^2), kept above zero, with math on a float and elementwise
+    on arrays (same rounding)."""
+    if isinstance(c, float):
+        return math.sqrt(max(1e-300, 1.0 - c * c))
     return np.sqrt(np.maximum(1e-300, 1.0 - c * c))
-
-
-def _float_if_scalar(a):
-    return float(a) if np.ndim(a) == 0 else a
 
 
 @dataclass(frozen=True)

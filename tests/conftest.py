@@ -269,6 +269,25 @@ def cube_links(cube):
     return tuple(links)
 
 
+def reference_solve_y_grid(curve, xs):
+    """Bisection oracle of ``SigmaCurve.solve_y`` over an array of x values:
+    60 halvings of [0, 1] on the sign of sigma, then two Newton steps."""
+    xs = np.asarray(xs, float)
+    lo = np.zeros_like(xs)
+    hi = np.ones_like(xs)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        pos = curve(xs, mid) > 0.0
+        lo = np.where(pos, mid, lo)
+        hi = np.where(pos, hi, mid)
+    y = 0.5 * (lo + hi)
+    for _ in range(2):
+        d = curve._dy(xs, y)
+        step = np.where(d != 0.0, curve(xs, y) / np.where(d == 0.0, 1.0, d), 0.0)
+        y = np.clip(y - step, 0.0, 1.0)
+    return y
+
+
 def reference_solve_dual_sampled(R, T):
     """Sampled oracle of ``duality.solve_dual_general`` (R, T with the
     identity corner map): both sigma curves solved on a grid of step at
@@ -294,7 +313,7 @@ def reference_solve_dual_sampled(R, T):
         return DualSolveResult(None, AbsenceCertificate(
             reason="empty-interval", detail="", interval=(lo, hi)))
     xs = np.linspace(lo, hi, max(3, int(math.ceil((hi - lo) / 1e-4)) + 1))
-    ys, zs = curve_xy.solve_y_grid(xs), curve_zx.solve_y_grid(xs)
+    ys, zs = reference_solve_y_grid(curve_xy, xs), reference_solve_y_grid(curve_zx, xs)
     h = sigma(R.a, T.A, ys, zs)
     change = np.nonzero(np.diff(np.sign(h)) != 0)[0]
     if not change.size:

