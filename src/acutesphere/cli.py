@@ -50,8 +50,7 @@ def _report(command, args, verdicts, witnesses=(), metrics=None, notes=()):
 
 
 def _emit(report, summary):
-    json.dump(report, sys.stdout, indent=1)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report, indent=1) + "\n")
     print(summary, file=sys.stderr)
 
 

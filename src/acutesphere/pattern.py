@@ -3,11 +3,14 @@
 A pattern assigns each vertex a spherical disk (center on S^2, radius in
 (0, pi/2), or radius 0 for designated ideal vertices) so that disks of
 adjacent vertices intersect orthogonally: cos d(x_u, x_v) = cos r_u cos r_v.
-The solver is a plain dense Levenberg-Marquardt loop over the stacked
-residuals (edge equations plus unit-norm equations).  Damping uses a scalar
-multiple of the identity, so the iteration commutes with rotations of the
-initialization; all randomness is drawn from an explicit seed.  The Moebius
-gauge comes from Newton steps with a closed-form 3x3 Jacobian (numpy only).
+The solver is a Levenberg-Marquardt loop over the stacked residuals (edge
+equations plus unit-norm equations) whose normal equations are summed from
+the Jacobian's nonzeros in row order; values may thus differ in their last
+digits from a BLAS ``J.T @ J`` solve's, verdicts do not.  Damping uses a
+scalar multiple of the identity, so the iteration commutes with rotations
+of the initialization; all randomness is drawn from an explicit seed.  The
+Moebius gauge comes from Newton steps with a closed-form 3x3 Jacobian
+(numpy only).
 """
 
 from __future__ import annotations
@@ -40,14 +43,13 @@ SolveAttempt = namedtuple("SolveAttempt", "pole residual iterations reason")
 
 
 class PatternProblem:
-    """Residuals and Jacobian of a pattern for one triangulation.
+    """Residuals and normal equations of a pattern for one triangulation.
 
     ``fixed_zero`` lists vertices whose radius is pinned at 0 (wheel hubs /
     ideal vertices); they contribute edge equations but no radius variable.
     """
 
     def __init__(self, tri: AbstractTriangulation, fixed_zero=()):
-        self.tri = tri
         self.index = {v: i for i, v in enumerate(tri.vertices)}
         self.nv = len(tri.vertices)
         # rows sorted by the positions of their ends in tri.vertices
@@ -62,18 +64,22 @@ class PatternProblem:
         self.r_col[self.free_r] = 3 * self.nv + np.arange(len(self.free_r))
         self.nvar = 3 * self.nv + len(self.free_r)
         self.nres = len(self.edges) + self.nv
-        # Jacobian entries that theta fills: (row, column) of each edge row's
-        # two position blocks and each unit-norm row's block, then of each
-        # edge row's radius columns at its free ends
+        # nonzero columns of each Jacobian row, -1 padded to 8 slots: an edge
+        # row's pos_u and pos_v blocks and its ends' radius columns (-1 at a
+        # pinned hub), then each unit-norm row's position block
         eu, ev = self.edges.T
         xyz = np.arange(3)
-        edge_rows = np.arange(len(self.edges))
-        self._pos_rows = np.concatenate([edge_rows, edge_rows,
-                                         len(self.edges) + np.arange(self.nv)])[:, None]
-        self._pos_cols = 3 * np.concatenate([ev, eu, np.arange(self.nv)])[:, None] + xyz
-        self._u_free, self._v_free = edge_rows[~self.fixed[eu]], edge_rows[~self.fixed[ev]]
-        self._r_rows = np.concatenate([self._u_free, self._v_free])
-        self._r_cols = self.r_col[np.concatenate([eu[self._u_free], ev[self._v_free]])]
+        cols = np.full((self.nres, 8), -1)
+        cols[:len(eu)] = np.column_stack([3 * eu[:, None] + xyz, 3 * ev[:, None] + xyz,
+                                          self.r_col[eu], self.r_col[ev]])
+        cols[len(eu):, :3] = 3 * np.arange(self.nv)[:, None] + xyz
+        nonzero = cols >= 0
+        self._slots, self._cols = np.flatnonzero(nonzero), cols[nonzero]
+        # J^T J adds J[k, a] J[k, b] at (a, b) for every two nonzeros of row
+        # k, k ascending as in a row-by-row product
+        k, a, b = np.nonzero(nonzero[:, :, None] & nonzero[:, None, :])
+        self._pair_a, self._pair_b = 8 * k + a, 8 * k + b
+        self._pair_at = cols[k, a] * self.nvar + cols[k, b]
 
     def unpack(self, theta):
         pos = theta[:3 * self.nv].reshape(self.nv, 3)
@@ -91,19 +97,27 @@ class PatternProblem:
         rn = np.einsum("ij,ij->i", pos, pos) - 1.0
         return np.concatenate([re, rn])
 
-    def jacobian(self, theta):
+    def normal_equations(self, theta, res):
+        """J^T J and J^T res from the nonzeros of J at ``theta``, each entry
+        summed by ``np.bincount`` over J's rows in order (edges, then norms)
+        as a row-by-row product would; edge rows hold (pos_v, pos_u,
+        sin r_u cos r_v, cos r_u sin r_v), norm rows 2 pos."""
         pos, r = self.unpack(theta)
         sin, cos = np.sin(r), np.cos(r)
         eu, ev = self.edges.T
-        J = np.zeros((self.nres, self.nvar))
-        J[self._pos_rows, self._pos_cols] = np.concatenate([pos[eu], pos[ev], 2.0 * pos])
-        J[self._r_rows, self._r_cols] = np.concatenate([(sin[eu] * cos[ev])[self._u_free],
-                                                        (cos[eu] * sin[ev])[self._v_free]])
-        return J
+        J = np.zeros((self.nres, 8))
+        J[:len(eu)] = np.column_stack([pos[ev], pos[eu], sin[eu] * cos[ev], cos[eu] * sin[ev]])
+        J[len(eu):, :3] = 2.0 * pos
+        J, n = J.ravel(), self.nvar
+        A = np.bincount(self._pair_at, J[self._pair_a] * J[self._pair_b], minlength=n * n)
+        g = np.bincount(self._cols, J[self._slots] * res[self._slots // 8], minlength=n)
+        return A.reshape(n, n), g
 
 
 def levenberg_marquardt(problem, theta0, tol=1e-13, max_iter=400):
-    """Damped Gauss-Newton with scalar (rotation-equivariant) damping."""
+    """Damped Gauss-Newton with scalar (rotation-equivariant) damping: each
+    try solves (J^T J + lam trace(J^T J)/n I) delta = -J^T r densely, the
+    damped diagonal written in place over J^T J's saved one."""
     theta = theta0.copy()
     r = problem.residuals(theta)
     cost = float(r @ r)
@@ -112,14 +126,15 @@ def levenberg_marquardt(problem, theta0, tol=1e-13, max_iter=400):
     for iters in range(1, max_iter + 1):
         if np.max(np.abs(r)) < tol:
             break
-        J = problem.jacobian(theta)
-        A = J.T @ J
-        g = J.T @ r
-        scale = max(np.trace(A) / A.shape[0], 1e-30)
+        A, g = problem.normal_equations(theta, r)
+        n = len(g)
+        scale = max(np.trace(A) / n, 1e-30)
+        diag = A.diagonal().copy()
         accepted = False
         for _ in range(60):
+            A.flat[::n + 1] = diag + lam * scale
             try:
-                delta = np.linalg.solve(A + lam * scale * np.eye(A.shape[0]), -g)
+                delta = np.linalg.solve(A, -g)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue

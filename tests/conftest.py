@@ -389,8 +389,8 @@ def reference_initial_radii(problem, pos):
 
 
 def reference_jacobian(problem, theta):
-    """Entry-wise oracle of ``PatternProblem.jacobian``: one edge row and one
-    unit-norm row at a time."""
+    """Dense Jacobian of ``PatternProblem.residuals``, one edge row and one
+    unit-norm row at a time: the oracle of ``PatternProblem.normal_equations``."""
     pos, r = problem.unpack(theta)
     J = np.zeros((problem.nres, problem.nvar))
     for i, (u, v) in enumerate(problem.edges):

@@ -484,7 +484,7 @@ def test_pattern_jacobian_matches_finite_differences(load):
         problem = PatternProblem(tri, fixed_zero=hubs)
         pos0 = tutte_sphere_init(tri, tri.vertices[0], rng)
         theta = problem.pack(pos0, initial_radii(problem, pos0))
-        J = problem.jacobian(theta)
+        J = reference_jacobian(problem, theta)
         assert J.shape == (problem.nres, problem.nvar)
         assert problem.nvar == 4 * len(tri.vertices) - len(hubs)
         for col in range(problem.nvar):
@@ -528,7 +528,9 @@ def test_transport_matches_per_vertex_reference():
 
 def test_initial_radii_and_jacobian_match_loop_references(load):
     # the closed icosahedron and the capped square disk, whose hubs have
-    # radius 0 and no radius column; at a Tutte start and at random points
+    # radius 0 and no radius column; at a Tutte start and at random points.
+    # The scattered normal equations match J^T J and J^T r of the dense
+    # oracle J, and J^T J comes out exactly symmetric
     capped = glue_caps(load("square_disk_a"))
     rng = np.random.default_rng(13)
     for tri, hubs in [(load("icosahedron"), ()), (capped.closed, capped.hub_vertices)]:
@@ -538,10 +540,16 @@ def test_initial_radii_and_jacobian_match_loop_references(load):
         for pos in starts:
             r0 = initial_radii(problem, pos)
             assert np.max(np.abs(r0 - reference_initial_radii(problem, pos))) <= 1e-15
-            theta = problem.pack(pos * rng.uniform(0.5, 1.5, (problem.nv, 1)),
-                                 rng.uniform(0.0, 1.5, problem.nv))
-            J = problem.jacobian(theta)
-            assert np.max(np.abs(J - reference_jacobian(problem, theta))) <= 1e-15
+            for theta in (problem.pack(pos, r0),
+                          problem.pack(pos * rng.uniform(0.5, 1.5, (problem.nv, 1)),
+                                       rng.uniform(0.0, 1.5, problem.nv))):
+                res = problem.residuals(theta)
+                A, g = problem.normal_equations(theta, res)
+                J = reference_jacobian(problem, theta)
+                bound = 1e-13 * np.max(np.abs(A))
+                assert np.max(np.abs(A - J.T @ J)) <= bound
+                assert np.max(np.abs(g - J.T @ res)) <= bound
+                assert np.array_equal(A, A.T)
 
 
 def test_euclidean_circles_match_three_point_reference():
@@ -591,6 +599,16 @@ def test_realize_double_cap_ladder_first_start(n):
     assert res.residual <= 1e-11
     assert res.margin > 0
     assert pattern_residuals(res.closed_realization).min_clearance() > 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_realize_182_vertex_double_on_first_start_across_seeds(seed):
+    # double(maehara_cap(20)), the benchmark's probe rung, realizes from the
+    # first start on other seeds as well as seed 0 (ladder test above)
+    res = realize_sphere(double(maehara_cap(20)), seed=seed, max_starts=1)
+    assert len(res.realization.parent.vertices) == 182
+    assert res.residual <= 1e-11
+    assert res.margin > 0
 
 
 def test_solve_pattern_records_starts(load):
