@@ -200,7 +200,7 @@ def cmd_dual(args):
     try:
         a, b, c = _parse_triple(args.triangle)
         R = from_sides(a, b, c)
-        if args.target_triangle:
+        if args.target_triangle is not None:
             target = from_angles(*_parse_triple(args.target_triangle))
         else:
             p, q, r = _parse_triple(args.target, int)
@@ -325,9 +325,10 @@ def build_parser():
 
     p = sub.add_parser("dual", help="hyperbolic duality solver")
     p.add_argument("--triangle", required=True, help="side lengths a,b,c")
-    p.add_argument("--target", default=None,
-                   help="Coxeter labels p,q,r: angles pi/p at A, pi/q at B, pi/r at C")
-    p.add_argument("--target-triangle", default=None, help="target angles A,B,C")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--target", default=None,
+                        help="Coxeter labels p,q,r: angles pi/p at A, pi/q at B, pi/r at C")
+    target.add_argument("--target-triangle", default=None, help="target angles A,B,C")
     p.set_defaults(func=cmd_dual)
 
     p = sub.add_parser("invariants", help="alpha and beta invariants")
@@ -346,9 +347,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.cmd == "dual" and not (args.target or args.target_triangle):
-        print("input error: need --target or --target-triangle", file=sys.stderr)
-        return EXIT_INPUT
     try:
         return args.func(args)
     except AcuteSphereError as exc:

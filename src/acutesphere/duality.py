@@ -195,28 +195,23 @@ def allright_feet(cos_a, cos_b, cos_c):
             np.sqrt(cos_a * cos_b / cos_c))
 
 
-def slimmer_than_polar_dual_22p(R: SphericalTriangle, p: int) -> bool:
-    """Exact criterion of the (2,2,p) duality solver: a, A < pi - pi/p and
-    B, C, b, c < pi/2, with the p label on corner A."""
-    bound = math.pi - math.pi / p
-    return (R.a < bound and R.A < bound
-            and all(v < math.pi / 2 for v in (R.B, R.C, R.b, R.c)))
-
-
 def solve_dual_22p(R: SphericalTriangle, p: int,
                    corner_map: CornerMap = IDENTITY_MAP) -> Optional[DualityWitness]:
     """Witness for R hyperbolically dual to the (2, 2, p) triangle, or None.
 
     ``corner_map`` sends R's corners to the target's; the target carries the
     label p at corner A.  Duality holds exactly when R is slimmer than the
-    polar dual of the (2,2,p) triangle.  For p = 2 the feet have a closed
+    polar dual of the (2,2,p) triangle: a, A < pi - pi/p and B, C, b, c <
+    pi/2, with the p label on corner A.  For p = 2 the feet have a closed
     form (``allright_feet``); otherwise the solver reduces the system to one
     bracketed root find in y (x y = cos c, z x = cos b).
     """
     if p < 2:
         raise ValidationError(f"p must be >= 2, got {p}")
     S = R.relabeled(corner_map)
-    if not slimmer_than_polar_dual_22p(S, p):
+    bound = math.pi - math.pi / p
+    if not (S.a < bound and S.A < bound
+            and all(v < math.pi / 2 for v in (S.B, S.C, S.b, S.c))):
         return None
     target = triangle_pqr(p, 2, 2)
     cos_b, cos_c = math.cos(S.b), math.cos(S.c)

@@ -6,11 +6,12 @@ parameter x = tanh d(O, X) of a duality witness is exactly the Klein radius
 of the foot.  (The Poincare quantity 2/(r + 1/r) equals tanh d under
 r = tanh(d/2), which is the bridge between the two models.)
 
-Hyperbolic angles and distances are computed through the Minkowski
-hyperboloid: a Klein point p lifts to (1, p)/sqrt(1-|p|^2), and the plane
-{p . n = d} has spacelike normal (d, n)/sqrt(|n|^2 - d^2).  Cube volumes are
-exact: six orthoschemes tile each cube, and each has a closed-form volume in
-the Lobachevsky function.
+Dihedral angles are measured through the Minkowski hyperboloid: the plane
+{p . n = d} has the unit spacelike normal (d, n)/sqrt(|n|^2 - d^2), and two
+planes meet at the angle whose cosine is minus their Minkowski product.  No
+hyperbolic distance is computed here.  Cube volumes are exact: six
+orthoschemes tile each cube, and each has a closed-form volume in the
+Lobachevsky function.
 """
 
 from __future__ import annotations
@@ -50,24 +51,6 @@ CUBE_EDGES = {
 }
 
 
-def lift(p):
-    """Klein point -> unit timelike Minkowski vector."""
-    p = np.asarray(p, float)
-    s = 1.0 - float(p @ p)
-    if s <= 0.0:
-        raise GeometryError(f"point {p} outside the Klein ball")
-    return np.concatenate(([1.0], p)) / math.sqrt(s)
-
-
-def mdot(P, Q):
-    return float(-P[0] * Q[0] + P[1:] @ Q[1:])
-
-
-def hyperbolic_distance(p, q) -> float:
-    c = -mdot(lift(p), lift(q))
-    return math.acosh(max(1.0, c))
-
-
 def boost_to(b):
     """Lorentz boost taking the origin of the Klein ball to the point b."""
     b = np.asarray(b, float)
@@ -101,10 +84,6 @@ class SlantedCubeModel:
     half_spaces: tuple
     witness: DualityWitness
     dihedrals: dict
-
-    def edge_lengths(self) -> dict:
-        return {e: hyperbolic_distance(self.vertices[e[0]], self.vertices[e[1]])
-                for e in CUBE_EDGES}
 
     def to_json(self):
         return {

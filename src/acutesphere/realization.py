@@ -54,10 +54,6 @@ class GeodesicRealization:
     def position_array(self) -> np.ndarray:
         return np.vstack([self.positions[v] for v in self.parent.vertices])
 
-    def face_triangle(self, face):
-        pa, pb, pc = (self.positions[v] for v in face)
-        return triangle_from_points(pa, pb, pc)
-
     def corner_angles(self):
         """(face, vertex, angle) over all corners."""
         angles = _all_corner_angles(self.position_array(), _corner_index_arrays(self.parent))
@@ -147,7 +143,6 @@ class CappingInfo:
     closed: AbstractTriangulation
     cap_centers: tuple = ()
     hub_vertices: tuple = ()
-    added_vertices: tuple = ()
 
 
 @dataclass
@@ -167,7 +162,9 @@ class RealizationResult:
 def glue_caps(tri: AbstractTriangulation) -> CappingInfo:
     """Close a planar triangulation: Maehara caps on every boundary of
     length >= 5, then square wheels on the square boundaries left.  A
-    flag-no-separating-square input stays so once capped."""
+    flag-no-separating-square input stays so once capped.  A boundary
+    3-cycle, or a boundary square with a chord, raises ValidationError: no
+    cap or wheel closes it into a flag sphere."""
     if tri.is_closed:
         return CappingInfo(closed=tri)
     vertices = list(tri.vertices)
@@ -175,14 +172,12 @@ def glue_caps(tri: AbstractTriangulation) -> CappingInfo:
     taken = set(vertices)
     cap_centers = []
     hubs = []
-    added = []
 
     def fresh(name):
         m = name
         while m in taken:
             m += "+"
         taken.add(m)
-        added.append(m)
         return m
 
     for k, cycle in enumerate(tri.boundary_cycles):
@@ -191,14 +186,17 @@ def glue_caps(tri: AbstractTriangulation) -> CappingInfo:
             raise ValidationError(
                 "boundary 3-cycles are not supported by the capping pipeline")
         if n == 4:
+            a, b, c, d = cycle
+            if tri.has_edge(a, c) or tri.has_edge(b, d):
+                raise ValidationError(
+                    "boundary squares with a chord are not supported by the capping pipeline")
             continue
         cap = maehara_cap(n)
         ring = cap.boundary_cycles[0]
-        rename = {ring[i]: cycle[i] for i in range(n)}
-        for v in cap.vertices:
-            if v not in rename:
-                rename[v] = fresh(f"cap{k}.{v}")
-        vertices += [rename[v] for v in cap.vertices if rename[v] in added]
+        rename = dict(zip(ring, cycle))
+        new = {v: fresh(f"cap{k}.{v}") for v in cap.vertices if v not in rename}
+        vertices += new.values()
+        rename.update(new)
         faces += [tuple(rename[v] for v in f) for f in cap.faces]
         cap_centers.append(rename["c"])
 
@@ -211,7 +209,7 @@ def glue_caps(tri: AbstractTriangulation) -> CappingInfo:
         hubs.append(hub)
     closed = AbstractTriangulation(vertices, faces)
     return CappingInfo(closed=closed, cap_centers=tuple(cap_centers),
-                       hub_vertices=tuple(hubs), added_vertices=tuple(added))
+                       hub_vertices=tuple(hubs))
 
 
 def _invariant_check(tri: AbstractTriangulation, hubs=()):
@@ -341,11 +339,6 @@ class AcuteReport:
     margin: float
     worst_face: tuple
 
-    def to_json(self):
-        return {"passed": self.passed, "max_angle": self.max_angle,
-                "min_angle": self.min_angle, "margin": self.margin,
-                "worst_face": list(self.worst_face)}
-
 
 def verify_acute(real: GeodesicRealization) -> AcuteReport:
     """Per-face corner angles; passes iff the maximum is strictly below pi/2."""
@@ -360,11 +353,6 @@ def verify_acute(real: GeodesicRealization) -> AcuteReport:
 class PerpendicularReport:
     passed: bool
     max_deviation: float
-    edges_checked: int
-
-    def to_json(self):
-        return {"passed": self.passed, "max_deviation": self.max_deviation,
-                "edges_checked": self.edges_checked}
 
 
 def verify_coinciding_perpendiculars(real: GeodesicRealization) -> PerpendicularReport:
@@ -388,8 +376,7 @@ def verify_coinciding_perpendiculars(real: GeodesicRealization) -> Perpendicular
         return proj / np.linalg.norm(proj, axis=1)[:, None]
 
     worst = float(_pair_distances(feet(w1), feet(w2)).max(initial=0.0))
-    return PerpendicularReport(passed=worst < PERPENDICULAR_TOL, max_deviation=worst,
-                               edges_checked=len(quads))
+    return PerpendicularReport(passed=worst < PERPENDICULAR_TOL, max_deviation=worst)
 
 
 # -- Euclidean projection ----------------------------------------------------
@@ -402,48 +389,6 @@ class EuclideanRealization:
     parent: AbstractTriangulation
     centers: dict
     radii: dict
-
-    def orthogonality_residual(self) -> float:
-        worst = 0.0
-        for e in self.parent.edges:
-            u, v = tuple(e)
-            d2 = float(np.sum((self.centers[u] - self.centers[v]) ** 2))
-            target = self.radii[u] ** 2 + self.radii[v] ** 2
-            worst = max(worst, abs(d2 - target) / target)
-        return worst
-
-    def corner_angles(self):
-        out = []
-        for f in self.parent.faces:
-            pts = [self.centers[v] for v in f]
-            for i, v in enumerate(f):
-                a = pts[(i + 1) % 3] - pts[i]
-                b = pts[(i + 2) % 3] - pts[i]
-                cross = float(a[0] * b[1] - a[1] * b[0])
-                ang = math.atan2(abs(cross), float(np.dot(a, b)))
-                out.append((f, v, ang))
-        return out
-
-    def perpendicular_ratio_deviation(self) -> float:
-        """Worst deviation of the foot of each perpendicular from the
-        r^2-weighted split of the opposite edge (feet from both sides of an
-        interior edge coincide at that point)."""
-        worst = 0.0
-        for e, fs in self.parent.edge_faces.items():
-            u, v = tuple(e)
-            pu, pv = self.centers[u], self.centers[v]
-            denom = float(np.sum((pv - pu) ** 2))
-            expected = self.radii[u] ** 2 / (self.radii[u] ** 2 + self.radii[v] ** 2)
-            for f in fs:
-                w = next(x for x in f if x not in e)
-                t = float(np.dot(self.centers[w] - pu, pv - pu)) / denom
-                worst = max(worst, abs(t - expected))
-        return worst
-
-    def to_json(self):
-        return {"centers": {v: [float(x) for x in p] for v, p in self.centers.items()},
-                "radii": {v: float(r) for v, r in self.radii.items()},
-                "faces": [list(f) for f in self.parent.faces]}
 
 
 def _tangent_frame(nu):
@@ -716,7 +661,7 @@ def is_subordinate(real: GeodesicRealization, labeling: EdgeLabeling) -> bool:
         p, q, r = labeling.face_labels(f)
         if not coxeter_face_finite(p, q, r):
             raise ValidationError(f"face {tuple(f)} induces an infinite triangle group")
-        R = real.face_triangle(f)
+        R = triangle_from_points(*(real.positions[v] for v in f))
         if not slimmer(R, polar_dual(triangle_pqr(p, q, r))):
             return False
     return True

@@ -306,17 +306,6 @@ def triangle_arrays(P, label=lambda k: f"triangle {k}"):
     return sides, angles
 
 
-def corner_angle(P, Q, R_) -> float:
-    """Angle at P between the great-circle arcs P->Q and P->R_."""
-    P = np.asarray(P, float)
-    tq = Q - np.dot(P, Q) * P
-    tr = R_ - np.dot(P, R_) * P
-    nq, nr = np.linalg.norm(tq), np.linalg.norm(tr)
-    if nq < 1e-14 or nr < 1e-14:
-        raise GeometryError("degenerate corner: coincident or antipodal points")
-    return clamped_acos(float(np.clip(np.dot(tq, tr) / (nq * nr), -1.0, 1.0)))
-
-
 def perpendicular_foot(P, Q, R_):
     """Foot of the spherical perpendicular from P onto the great circle
     through Q and R_."""
@@ -383,11 +372,6 @@ class TessellationSummary:
 
     def all_cone_angles(self):
         return tuple(angle for _, mult, angle in self.cone_angles for _ in range(mult))
-
-    def strongly_cat1_cone_check(self) -> bool:
-        """Cone-angle half of the strong CAT(1) condition: every cone angle
-        exceeds 2 pi.  (Closed-geodesic lengths are not checked here.)"""
-        return all(angle > 2 * math.pi for angle in self.all_cone_angles())
 
 
 def tessellation_22p(R: SphericalTriangle, p: int) -> TessellationSummary:

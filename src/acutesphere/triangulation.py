@@ -254,15 +254,8 @@ class AbstractTriangulation:
         i, j = self._id.get(u), self._id.get(v)
         return i is not None and j is not None and _has_edge(self, i, j)
 
-    def is_face(self, u, v, w) -> bool:
-        i, j, k = self._id.get(u), self._id.get(v), self._id.get(w)
-        return None not in (i, j, k) and _is_face(self, i, j, k)
-
     def boundary_vertices(self) -> frozenset:
         return frozenset(_named(self, self._boundary))
-
-    def faces_of_edge(self, u, v):
-        return self.edge_faces[frozenset((u, v))]
 
     def oriented_faces(self) -> tuple:
         """Faces as ordered triples with a globally consistent orientation.
@@ -430,7 +423,8 @@ def serialize(tri: AbstractTriangulation, labeling: Optional[EdgeLabeling] = Non
 # -- cycle enumeration --------------------------------------------------
 #
 # The enumerations run on ids, cached per triangulation; the public
-# functions return the same cycles with names.
+# functions return the same cycles with names.  The predicates scan the id
+# cycles and name only the witnesses they return.
 
 
 def _cached(tri: AbstractTriangulation, key, build):
@@ -531,13 +525,6 @@ def four_cycles(tri: AbstractTriangulation):
         (names[u], names[x], names[v], names[y]) for u, x, v, y in _four_cycle_ids(tri)]))
 
 
-def _named_four_cycles(tri: AbstractTriangulation):
-    """Each 4-cycle with names, paired with its ids.  ``four_cycles`` stays
-    the one entry point of every 4-cycle scan, so a count of its calls (as
-    perfbench's tracer keeps) counts the scans."""
-    return zip(four_cycles(tri), _four_cycle_ids(tri))
-
-
 def _empty_triangle_ids(tri: AbstractTriangulation):
     return _cached(tri, "empty_triangle_ids", lambda: tuple(
         t for t in _triangle_ids(tri) if not _is_face(tri, *t)))
@@ -546,11 +533,6 @@ def _empty_triangle_ids(tri: AbstractTriangulation):
 def empty_three_cycles(tri: AbstractTriangulation):
     """3-cliques of the graph that do not bound a face."""
     return [_named(tri, t) for t in _empty_triangle_ids(tri)]
-
-
-def has_chord(tri: AbstractTriangulation, cycle4) -> bool:
-    u, x, v, y = cycle4
-    return tri.has_edge(u, v) or tri.has_edge(x, y)
 
 
 def _has_chord(tri: AbstractTriangulation, cycle4) -> bool:
@@ -662,8 +644,8 @@ def is_flag(tri: AbstractTriangulation) -> bool:
 def has_chordless_square(tri: AbstractTriangulation) -> Optional[CycleWitness]:
     """The first chordless 4-cycle, as a witness, or None."""
     return _cached(tri, "chordless_square", lambda: next(
-        (CycleWitness(cycle=c, kind="chordless-4-cycle")
-         for c, ids in _named_four_cycles(tri) if not _has_chord(tri, ids)), None))
+        (CycleWitness(cycle=_named(tri, ids), kind="chordless-4-cycle")
+         for ids in _four_cycle_ids(tri) if not _has_chord(tri, ids)), None))
 
 
 def separating_interiors(tri: AbstractTriangulation, cycle):
@@ -713,9 +695,9 @@ def separating_cycles(tri: AbstractTriangulation):
     found = [CycleWitness(cycle=_named(tri, t), kind="separating-3-cycle",
                           components=_components(tri, t))
              for t in _triangle_ids(tri) if _separates(tri, t, boundary)]
-    return found + [CycleWitness(cycle=c, kind="separating-4-cycle",
+    return found + [CycleWitness(cycle=_named(tri, ids), kind="separating-4-cycle",
                                  components=_components(tri, ids))
-                    for c, ids in _named_four_cycles(tri) if _separates(tri, ids, boundary)]
+                    for ids in _four_cycle_ids(tri) if _separates(tri, ids, boundary)]
 
 
 def is_flag_no_square(tri: AbstractTriangulation) -> bool:
@@ -730,7 +712,7 @@ def is_flag_no_separating_square(tri: AbstractTriangulation) -> bool:
     """Flag and no separating 4-cycle (closed or planar input)."""
     boundary = tri._boundary
     return is_flag(tri) and not any(_separates(tri, ids, boundary)
-                                    for _, ids in _named_four_cycles(tri))
+                                    for ids in _four_cycle_ids(tri))
 
 
 def low_degree_interior_vertices(tri: AbstractTriangulation):
@@ -760,14 +742,14 @@ def first_obstruction(tri: AbstractTriangulation) -> Optional[CycleWitness]:
             return CycleWitness(cycle=_named(tri, t), kind="separating-3-cycle",
                                 components=_components(tri, t))
         return CycleWitness(cycle=_named(tri, t), kind="empty-3-cycle")
-    for c, ids in _named_four_cycles(tri):
+    for ids in _four_cycle_ids(tri):
         if _has_chord(tri, ids):
             continue
         if len(_regions(tri, ids)) >= 2:
-            return CycleWitness(cycle=c, kind="separating-4-cycle",
+            return CycleWitness(cycle=_named(tri, ids), kind="separating-4-cycle",
                                 components=_components(tri, ids))
         if tri.is_closed:
-            return CycleWitness(cycle=c, kind="chordless-4-cycle")
+            return CycleWitness(cycle=_named(tri, ids), kind="chordless-4-cycle")
     cliques = _four_clique_ids(tri)
     if cliques:
         return CycleWitness(cycle=_named(tri, cliques[0]), kind="four-clique")
@@ -964,7 +946,7 @@ def ideal_allright_conditions(tri: AbstractTriangulation) -> bool:
     if not is_flag(tri):
         raise ValidationError("ideal_allright_conditions expects a flag triangulation")
     if not all(any(len(interior) == 1 for interior in _regions(tri, ids))
-               for _, ids in _named_four_cycles(tri) if not _has_chord(tri, ids)):
+               for ids in _four_cycle_ids(tri) if not _has_chord(tri, ids)):
         return False
     nbrs = tri._nbrs
     return not any(len(nbrs[v]) == 4 and any(len(nbrs[u]) == 4 for u in nbrs[v])

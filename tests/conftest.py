@@ -7,8 +7,9 @@ import pytest
 from acutesphere import fixtures as fixture_registry
 from acutesphere.errors import (GeometryError, InternalInconsistency, SolveError,
                                ValidationError)
-from acutesphere.klein import CUBE_EDGES, SlantedCubeModel, boost_to, lift, mdot
-from acutesphere.spherical import IDENTITY_MAP, from_angles, from_sides, place_triangle
+from acutesphere.klein import CUBE_EDGES, SlantedCubeModel, boost_to
+from acutesphere.spherical import (IDENTITY_MAP, clamped_acos, from_angles, from_sides,
+                                   place_triangle)
 from acutesphere.triangulation import diagonal_flip
 
 
@@ -162,6 +163,42 @@ def cycle_sides(tri, cycle):
         interior = sorted({v for f in region for v in f} - set(cycle))
         sides.append((region, tuple(interior)))
     return sides
+
+
+def corner_angle(P, Q, R_) -> float:
+    """Angle at P between the great-circle arcs P->Q and P->R_: the
+    one-corner oracle of ``realization._all_corner_angles``."""
+    P = np.asarray(P, float)
+    tq = Q - np.dot(P, Q) * P
+    tr = R_ - np.dot(P, R_) * P
+    nq, nr = np.linalg.norm(tq), np.linalg.norm(tr)
+    if nq < 1e-14 or nr < 1e-14:
+        raise GeometryError("degenerate corner: coincident or antipodal points")
+    return clamped_acos(float(np.clip(np.dot(tq, tr) / (nq * nr), -1.0, 1.0)))
+
+
+def lift(p):
+    """Klein point -> unit timelike Minkowski vector."""
+    p = np.asarray(p, float)
+    s = 1.0 - float(p @ p)
+    if s <= 0.0:
+        raise GeometryError(f"point {p} outside the Klein ball")
+    return np.concatenate(([1.0], p)) / math.sqrt(s)
+
+
+def mdot(P, Q):
+    return float(-P[0] * Q[0] + P[1:] @ Q[1:])
+
+
+def hyperbolic_distance(p, q) -> float:
+    """Distance between two Klein points, through their lifts."""
+    return math.acosh(max(1.0, -mdot(lift(p), lift(q))))
+
+
+def cube_edge_lengths(cube):
+    """Hyperbolic length of each edge of a slanted cube, keyed as CUBE_EDGES."""
+    return {e: hyperbolic_distance(cube.vertices[e[0]], cube.vertices[e[1]])
+            for e in CUBE_EDGES}
 
 
 def plane_normal(n, d):
@@ -464,6 +501,48 @@ def reference_euclidean_circle(center, rho, viewpoint, frame):
                   x3 ** 2 - x1 ** 2 + y3 ** 2 - y1 ** 2])
     cx, cy = np.linalg.solve(a, b)
     return np.array([cx, cy]), math.hypot(x1 - cx, y1 - cy)
+
+
+def euclidean_orthogonality_residual(eu):
+    """Worst relative residual of d^2 = r_u^2 + r_v^2 over the edges of a
+    planar pattern (``realization.EuclideanRealization``)."""
+    worst = 0.0
+    for e in eu.parent.edges:
+        u, v = tuple(e)
+        d2 = float(np.sum((eu.centers[u] - eu.centers[v]) ** 2))
+        target = eu.radii[u] ** 2 + eu.radii[v] ** 2
+        worst = max(worst, abs(d2 - target) / target)
+    return worst
+
+
+def euclidean_corner_angles(eu):
+    """(face, vertex, angle) over the corners of a planar pattern's centres."""
+    out = []
+    for f in eu.parent.faces:
+        pts = [eu.centers[v] for v in f]
+        for i, v in enumerate(f):
+            a = pts[(i + 1) % 3] - pts[i]
+            b = pts[(i + 2) % 3] - pts[i]
+            cross = float(a[0] * b[1] - a[1] * b[0])
+            out.append((f, v, math.atan2(abs(cross), float(np.dot(a, b)))))
+    return out
+
+
+def euclidean_perpendicular_ratio_deviation(eu):
+    """Worst deviation of the foot of each perpendicular of a planar
+    pattern from the r^2-weighted split of the opposite edge (feet from both
+    sides of an interior edge coincide at that point)."""
+    worst = 0.0
+    for e, fs in eu.parent.edge_faces.items():
+        u, v = tuple(e)
+        pu, pv = eu.centers[u], eu.centers[v]
+        denom = float(np.sum((pv - pu) ** 2))
+        expected = eu.radii[u] ** 2 / (eu.radii[u] ** 2 + eu.radii[v] ** 2)
+        for f in fs:
+            w = next(x for x in f if x not in e)
+            t = float(np.dot(eu.centers[w] - pu, pv - pu)) / denom
+            worst = max(worst, abs(t - expected))
+    return worst
 
 
 @pytest.fixture

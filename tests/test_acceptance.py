@@ -23,7 +23,10 @@ from acutesphere.triangulation import (double, empty_three_cycles, four_cliques,
                                        itoh_face_predicate, separating_cycles,
                                        square_wheel)
 
-from conftest import cube_links, random_acute_triangle, reference_solve_y_grid
+from conftest import (cube_edge_lengths, cube_links, euclidean_corner_angles,
+                      euclidean_orthogonality_residual,
+                      euclidean_perpendicular_ratio_deviation, random_acute_triangle,
+                      reference_solve_y_grid)
 
 # frozen from scripts/dodecahedron_volume_oracle.py before the build
 DODECAHEDRON_VOLUME = 4.306207600730809
@@ -150,11 +153,12 @@ def test_criterion_6_planar_pipeline():
 
     cap = realize_sphere(fixtures.load("maehara_cap_5"), seed=0)
     eu = project_euclidean(cap)
-    assert eu.perpendicular_ratio_deviation() < 1e-8
-    assert eu.orthogonality_residual() < 1e-8
-    assert all(ang < math.pi / 2 for _, _, ang in eu.corner_angles())
+    deviation = euclidean_perpendicular_ratio_deviation(eu)
+    assert deviation < 1e-8
+    assert euclidean_orthogonality_residual(eu) < 1e-8
+    assert all(ang < math.pi / 2 for _, _, ang in euclidean_corner_angles(eu))
     _ok(6, "square-boundary disk acute in S^2 but refused in E^2; capped "
-           f"pentagon projects with ratio deviation {eu.perpendicular_ratio_deviation():.2e}")
+           f"pentagon projects with ratio deviation {deviation:.2e}")
 
 
 def test_criterion_7_beta_volume():
@@ -204,8 +208,8 @@ def test_criterion_9_property_suites():
         fwd = solve_dual_general(R, triangle_pqr(2, 2, 2))
         rev = solve_dual_general(triangle_pqr(2, 2, 2), R)
         assert fwd.found and rev.found
-        e1 = build_slanted_cube(fwd.witness).edge_lengths()
-        e2 = build_slanted_cube(rev.witness).edge_lengths()
+        e1 = cube_edge_lengths(build_slanted_cube(fwd.witness))
+        e2 = cube_edge_lengths(build_slanted_cube(rev.witness))
         assert abs(e1[("O", "X")] - e2[("O'", "X'")]) < 1e-8
         assert abs(e1[("O'", "Y'")] - e2[("O", "Y")]) < 1e-8
         assert abs(e1[("X", "Z'")] - e2[("Z", "X'")]) < 1e-8

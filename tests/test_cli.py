@@ -184,6 +184,20 @@ def test_boundary_triangle_checks_but_is_not_realized(tmp_path, capsys):
     assert "boundary 3-cycles are not supported by the capping pipeline" in err
 
 
+def test_chorded_boundary_square_checks_but_is_not_realized(tmp_path, capsys):
+    # the two-face square disk passes the combinatorial criterion, but a
+    # wheel on its boundary square would close a 3-cycle with the chord
+    # that bounds no face, so realize refuses it as an input error
+    path = tmp_path / "square.json"
+    path.write_text(serialize(AbstractTriangulation(
+        ["a", "b", "c", "d"], [("a", "b", "c"), ("a", "c", "d")])))
+    code, report, _ = run(capsys, ["check", str(path)])
+    assert code == 0 and report["verdicts"]["acute_realizable"]
+    code, report, err = run(capsys, ["realize", str(path)])
+    assert code == 2 and report is None
+    assert "boundary squares with a chord are not supported by the capping pipeline" in err
+
+
 def test_check_labeled(capsys):
     code, report, _ = run(capsys, ["check", fixture_file("icosahedron"), "--labels"])
     assert code == 0
@@ -322,6 +336,17 @@ def test_dual_malformed_triple(capsys, argv):
     assert code == 2
     assert report is None
     assert err.startswith("input error: expected three")
+
+
+@pytest.mark.parametrize("targets", [
+    [],
+    ["--target", "2,2,2", "--target-triangle", "1.5,1.5,1.5"],
+], ids=["neither", "both"])
+def test_dual_needs_exactly_one_target(capsys, targets):
+    with pytest.raises(SystemExit) as exc:
+        main(["dual", "--triangle", "1.1,1.1,1.1", *targets])
+    assert exc.value.code == 2
+    assert "--target" in capsys.readouterr().err
 
 
 def test_dual_target_triangle(capsys):

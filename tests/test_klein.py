@@ -11,15 +11,15 @@ from acutesphere import fixtures
 from acutesphere.duality import DualityWitness, solve_dual_22p, solve_dual_general
 from acutesphere.errors import GeometryError, ValidationError
 from acutesphere.klein import (CUBE_EDGES, ORTHOSCHEMES, VERTICES, beta, boost_to,
-                               build_slanted_cube, essential_angles, hyperbolic_distance,
-                               lobachevsky, orthoscheme_volume, orthoschemes, slanted_cubes,
-                               volume)
+                               build_slanted_cube, essential_angles, lobachevsky,
+                               orthoscheme_volume, orthoschemes, slanted_cubes, volume)
 from acutesphere.realization import realize_sphere
 from acutesphere.spherical import (CornerMap, from_angles, place_triangle, triangle_arrays,
                                    triangle_from_points, triangle_pqr)
 from acutesphere.triangulation import double, maehara_cap
 
-from conftest import cube_links, random_acute_triangle, reference_slanted_cube
+from conftest import (cube_edge_lengths, cube_links, hyperbolic_distance, random_acute_triangle,
+                      reference_slanted_cube)
 
 EQUILATERAL = from_angles(2 * math.pi / 5, 2 * math.pi / 5, 2 * math.pi / 5)
 
@@ -213,8 +213,8 @@ def test_duality_symmetry_isometric_cubes(rng):
             assert rev.found
             c1 = build_slanted_cube(fwd.witness)
             c2 = build_slanted_cube(rev.witness)
-            e1 = c1.edge_lengths()
-            e2 = c2.edge_lengths()
+            e1 = cube_edge_lengths(c1)
+            e2 = cube_edge_lengths(c2)
             pairs = {
                 ("O", "X"): ("O'", "X'"), ("O", "Y"): ("O'", "Y'"),
                 ("O", "Z"): ("O'", "Z'"), ("O'", "X'"): ("O", "X"),
@@ -315,9 +315,8 @@ def test_beta_matches_reference_cube_volumes(name):
     else:
         tri = fixtures.load(name)
     real = realize_sphere(tri, seed=0).realization
-    reference = sum(
-        volume(reference_slanted_cube(solve_dual_22p(real.face_triangle(f), 2)))
-        for f in tri.faces)
+    triangles = (triangle_from_points(*(real.positions[v] for v in f)) for f in tri.faces)
+    reference = sum(volume(reference_slanted_cube(solve_dual_22p(R, 2))) for R in triangles)
     assert beta(real) == pytest.approx(reference, rel=1e-13, abs=0)
 
 

@@ -1,5 +1,6 @@
 """The package namespace: lazy public names and what each entry point loads."""
 
+import importlib.util
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 from scipy.special import zeta
 
 import acutesphere
-from acutesphere import fixtures, klein, realization
+from acutesphere import cli, fixtures, klein, realization, triangulation
 
 SRC = str(Path(acutesphere.__file__).resolve().parents[1])
 
@@ -129,3 +130,38 @@ def test_clausen_coefficients_match_zeta_formula():
     expected = 2.0 * zeta(two_k) / ((2.0 * math.pi) ** two_k * two_k * (two_k + 1))
     assert np.array_equal(klein._clausen_coefficients(), expected)
     assert klein._clausen_coefficients() is klein._clausen_coefficients()
+
+
+def _perfbench_tracer():
+    """perfbench/tracer.py loaded as a module of its own, not installed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_layer_resolves():
+    # the traced benchmark reports a function it cannot find as an absent
+    # layer; each one it wraps or counts must exist in the package
+    tracer = _perfbench_tracer()
+    targets = [(module, attr) for _, module, attr in tracer.LAYERS]
+    targets += [(module, attr) for _, module, attr, _ in tracer.COUNTERS]
+    assert [t for t in targets if tracer._lookup(*t) is None] == []
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["double_12", "cap_12"])
+def test_check_names_only_returned_witnesses(tmp_path, capsys, monkeypatch, closed):
+    # the predicates scan the 4-cycles by id; the named enumeration is for
+    # callers and tests only
+    def unreachable(tri):
+        raise AssertionError("check called four_cycles")
+
+    monkeypatch.setattr(triangulation, "four_cycles", unreachable)
+    tri = triangulation.maehara_cap(12)
+    if closed:
+        tri = triangulation.double(tri)
+    path = tmp_path / "input.json"
+    path.write_text(triangulation.serialize(tri))
+    assert cli.main(["check", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdicts"]["acute_realizable"]

@@ -19,12 +19,13 @@ from acutesphere.realization import (VIEWPOINT_TOL, CombinatorialRefusal, Geodes
                                      glue_caps, is_subordinate, pattern_residuals,
                                      project_euclidean, realize_sphere, verify_acute,
                                      verify_coinciding_perpendiculars)
-from acutesphere.spherical import corner_angle, perpendicular_foot, spherical_distance
+from acutesphere.spherical import perpendicular_foot, spherical_distance
 from acutesphere.triangulation import (AbstractTriangulation, EdgeLabeling, double,
                                        ideal_allright_conditions, is_flag_no_separating_square,
                                        is_flag_no_square, maehara_cap)
 
-from conftest import (reference_euclidean_circle, reference_initial_radii, reference_jacobian,
+from conftest import (corner_angle, euclidean_corner_angles, euclidean_orthogonality_residual,
+                      euclidean_perpendicular_ratio_deviation, reference_euclidean_circle, reference_initial_radii, reference_jacobian,
                       reference_moebius_normalize, reference_smoothed_max_angle,
                       reference_transport_pattern, stereographic)
 
@@ -176,9 +177,9 @@ def test_planar_square_disk_b_acute_on_sphere(load):
 
 def test_cap5_euclidean_projection(cap5_result):
     eu = project_euclidean(cap5_result)
-    assert eu.orthogonality_residual() < 1e-8
-    assert eu.perpendicular_ratio_deviation() < 1e-8
-    assert all(ang < math.pi / 2 for _, _, ang in eu.corner_angles())
+    assert euclidean_orthogonality_residual(eu) < 1e-8
+    assert euclidean_perpendicular_ratio_deviation(eu) < 1e-8
+    assert all(ang < math.pi / 2 for _, _, ang in euclidean_corner_angles(eu))
 
 
 def _expected_svg_circles(real):

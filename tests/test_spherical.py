@@ -5,12 +5,12 @@ import pytest
 
 from acutesphere.errors import GeometryError, ValidationError
 from acutesphere.spherical import (
-    ALL_RIGHT, CornerMap, acute_sides_property, area, corner_angle, fatter,
+    ALL_RIGHT, CornerMap, acute_sides_property, area, fatter,
     from_angles, from_sides, is_acute, is_strongly_obtuse, orthocenter,
     perpendicular_foot, place_triangle, polar_dual, slimmer, spherical_distance,
     triangle_from_points, triangle_pqr)
 
-from conftest import random_acute_triangle, random_triangle
+from conftest import corner_angle, random_acute_triangle, random_triangle
 
 EQUILATERAL = from_angles(2 * math.pi / 5, 2 * math.pi / 5, 2 * math.pi / 5)
 

