@@ -147,7 +147,7 @@ def cmd_realize(args):
     # made before the solve, so an unusable --out fails before the work
     outdir = _out_dir(args) if args.out else None
     try:
-        res = realize_sphere(tri, seed=args.seed, tol=args.tol)
+        res = realize_sphere(tri, tol=args.tol)
     except CombinatorialRefusal as exc:
         report = _report("realize", args, {"realized": False, "refusal": str(exc)},
                          [exc.witness] if exc.witness else [])
@@ -241,7 +241,7 @@ def cmd_invariants(args):
     notes = []
     try:
         # without a seeding realization, solve again for the refusal or SolveError
-        res = alpha.seeded_from or realize_sphere(tri, seed=args.seed, tol=args.tol)
+        res = alpha.seeded_from or realize_sphere(tri, tol=args.tol)
         metrics["beta"] = beta(res.realization)
     except CombinatorialRefusal as exc:
         notes.append(f"beta refused: {exc}")

@@ -20,12 +20,11 @@ class GeometryError(AcuteSphereError):
 
 class SolveError(AcuteSphereError):
     """A numerical solver failed to reach its tolerance.  Carries the best
-    residual seen and one record per start; never a proof of nonexistence."""
+    residual seen; never a proof of nonexistence."""
 
-    def __init__(self, message, best_residual=None, attempts=()):
+    def __init__(self, message, best_residual=None):
         super().__init__(message)
         self.best_residual = best_residual
-        self.attempts = attempts
 
 
 class InternalInconsistency(AcuteSphereError):

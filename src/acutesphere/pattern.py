@@ -3,20 +3,21 @@
 A pattern assigns each vertex a spherical disk (center on S^2, radius in
 (0, pi/2), or radius 0 for designated ideal vertices) so that disks of
 adjacent vertices intersect orthogonally: cos d(x_u, x_v) = cos r_u cos r_v.
-The solver is a Levenberg-Marquardt loop over the stacked residuals (edge
-equations plus unit-norm equations) whose normal equations are summed from
-the Jacobian's nonzeros in row order; values may thus differ in their last
-digits from a BLAS ``J.T @ J`` solve's, verdicts do not.  Damping uses a
-scalar multiple of the identity, so the iteration commutes with rotations
-of the initialization; all randomness is drawn from an explicit seed.  The
-Moebius gauge comes from Newton steps with a closed-form 3x3 Jacobian
-(numpy only).
+Such a pattern is the unique solution of a strictly convex problem (Colin
+de Verdiere 1991; Chow-Luo 2003), so one Newton solve finds it, with no
+starts to choose and no randomness.  With a pole vertex's disk sent to a
+hemisphere, the other hemisphere is a hyperbolic plane in which the pole's
+link vertices are geodesics and the others circles; Newton steps on their
+angle sums in u = log tanh(R/2) give the radii, a layout of the centres in
+extended precision gives the pattern, and a Moebius map fixes the gauge
+where the disk centers sum to zero (Newton steps with a closed-form 3x3
+Jacobian).  numpy only.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,127 +32,11 @@ class PatternSolution:
     positions: np.ndarray      # (V, 3) unit rows
     radii: np.ndarray          # (V,), zero at ideal vertices
     residual: float            # max |edge residual|
-    iterations: int
-    pole: object               # Tutte pole vertex of the start that succeeded
-    starts: int                # starts tried, that one included
-    normalization_residual: float  # max |sum of centers| the gauge reached, before re-polish
+    iterations: int            # Newton steps of the angle-sum solve
+    pole: object               # vertex whose disk became a hemisphere
+    angle_residual: float      # max |angle-sum error| where the Newton steps stopped
+    normalization_residual: float  # max |sum of centers| the gauge reached
     normalization_steps: int       # Newton steps the gauge took
-
-
-# record of one start of the multi-start solve (reason: why it was rejected)
-SolveAttempt = namedtuple("SolveAttempt", "pole residual iterations reason")
-
-
-class PatternProblem:
-    """Residuals and normal equations of a pattern for one triangulation.
-
-    ``fixed_zero`` lists vertices whose radius is pinned at 0 (wheel hubs /
-    ideal vertices); they contribute edge equations but no radius variable.
-    """
-
-    def __init__(self, tri: AbstractTriangulation, fixed_zero=()):
-        self.index = {v: i for i, v in enumerate(tri.vertices)}
-        self.nv = len(tri.vertices)
-        # rows sorted by the positions of their ends in tri.vertices
-        at = tri._position
-        self.edges = np.array(sorted((at[u], at[v]) if at[u] < at[v] else (at[v], at[u])
-                                     for u, v in tri._edge_faces))
-        self.fixed = np.zeros(self.nv, dtype=bool)
-        for v in fixed_zero:
-            self.fixed[self.index[v]] = True
-        self.free_r = np.nonzero(~self.fixed)[0]
-        self.r_col = np.full(self.nv, -1)
-        self.r_col[self.free_r] = 3 * self.nv + np.arange(len(self.free_r))
-        self.nvar = 3 * self.nv + len(self.free_r)
-        self.nres = len(self.edges) + self.nv
-        # nonzero columns of each Jacobian row, -1 padded to 8 slots: an edge
-        # row's pos_u and pos_v blocks and its ends' radius columns (-1 at a
-        # pinned hub), then each unit-norm row's position block
-        eu, ev = self.edges.T
-        xyz = np.arange(3)
-        cols = np.full((self.nres, 8), -1)
-        cols[:len(eu)] = np.column_stack([3 * eu[:, None] + xyz, 3 * ev[:, None] + xyz,
-                                          self.r_col[eu], self.r_col[ev]])
-        cols[len(eu):, :3] = 3 * np.arange(self.nv)[:, None] + xyz
-        nonzero = cols >= 0
-        self._slots, self._cols = np.flatnonzero(nonzero), cols[nonzero]
-        # J^T J adds J[k, a] J[k, b] at (a, b) for every two nonzeros of row
-        # k, k ascending as in a row-by-row product
-        k, a, b = np.nonzero(nonzero[:, :, None] & nonzero[:, None, :])
-        self._pair_a, self._pair_b = 8 * k + a, 8 * k + b
-        self._pair_at = cols[k, a] * self.nvar + cols[k, b]
-
-    def unpack(self, theta):
-        pos = theta[:3 * self.nv].reshape(self.nv, 3)
-        r = np.zeros(self.nv)
-        r[self.free_r] = theta[3 * self.nv:]
-        return pos, r
-
-    def pack(self, pos, r):
-        return np.concatenate([pos.ravel(), r[self.free_r]])
-
-    def residuals(self, theta):
-        pos, r = self.unpack(theta)
-        eu, ev = self.edges[:, 0], self.edges[:, 1]
-        re = np.einsum("ij,ij->i", pos[eu], pos[ev]) - np.cos(r[eu]) * np.cos(r[ev])
-        rn = np.einsum("ij,ij->i", pos, pos) - 1.0
-        return np.concatenate([re, rn])
-
-    def normal_equations(self, theta, res):
-        """J^T J and J^T res from the nonzeros of J at ``theta``, each entry
-        summed by ``np.bincount`` over J's rows in order (edges, then norms)
-        as a row-by-row product would; edge rows hold (pos_v, pos_u,
-        sin r_u cos r_v, cos r_u sin r_v), norm rows 2 pos."""
-        pos, r = self.unpack(theta)
-        sin, cos = np.sin(r), np.cos(r)
-        eu, ev = self.edges.T
-        J = np.zeros((self.nres, 8))
-        J[:len(eu)] = np.column_stack([pos[ev], pos[eu], sin[eu] * cos[ev], cos[eu] * sin[ev]])
-        J[len(eu):, :3] = 2.0 * pos
-        J, n = J.ravel(), self.nvar
-        A = np.bincount(self._pair_at, J[self._pair_a] * J[self._pair_b], minlength=n * n)
-        g = np.bincount(self._cols, J[self._slots] * res[self._slots // 8], minlength=n)
-        return A.reshape(n, n), g
-
-
-def levenberg_marquardt(problem, theta0, tol=1e-13, max_iter=400):
-    """Damped Gauss-Newton with scalar (rotation-equivariant) damping: each
-    try solves (J^T J + lam trace(J^T J)/n I) delta = -J^T r densely, the
-    damped diagonal written in place over J^T J's saved one."""
-    theta = theta0.copy()
-    r = problem.residuals(theta)
-    cost = float(r @ r)
-    lam = 1e-3
-    iters = 0
-    for iters in range(1, max_iter + 1):
-        if np.max(np.abs(r)) < tol:
-            break
-        A, g = problem.normal_equations(theta, r)
-        n = len(g)
-        scale = max(np.trace(A) / n, 1e-30)
-        diag = A.diagonal().copy()
-        accepted = False
-        for _ in range(60):
-            A.flat[::n + 1] = diag + lam * scale
-            try:
-                delta = np.linalg.solve(A, -g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            trial = theta + delta
-            rt = problem.residuals(trial)
-            ct = float(rt @ rt)
-            if ct < cost:
-                theta, r, cost = trial, rt, ct
-                lam = max(lam / 3.0, 1e-12)
-                accepted = True
-                break
-            lam *= 3.0
-            if lam > 1e14:
-                break
-        if not accepted:
-            break
-    return theta, float(np.max(np.abs(r))), iters
 
 
 # -- initialization ----------------------------------------------------------
@@ -204,48 +89,34 @@ def tutte_sphere_init(tri: AbstractTriangulation, pole_vertex, rng) -> np.ndarra
     return pos
 
 
-def initial_radii(problem: PatternProblem, pos: np.ndarray) -> np.ndarray:
-    eu, ev = problem.edges.T
-    d = [math.acos(c) for c in np.clip(np.vecdot(pos[eu], pos[ev]), -1.0, 1.0)]
-    # bincount adds in input order, so each vertex sums its edges as a loop would
-    ends = problem.edges.ravel()
-    acc = np.bincount(ends, np.repeat(d, 2), minlength=problem.nv)
-    cnt = np.bincount(ends, minlength=problem.nv)
-    mean = acc / np.maximum(cnt, 1)
-    r = np.arccos(np.sqrt(np.clip(np.cos(mean), 0.05, 1.0)))
-    r = np.clip(r, 0.05, 1.4)
-    r[problem.fixed] = 0.0
-    return r
-
-
 # -- Moebius normalization ---------------------------------------------------
 
 
 def _transport_pattern(B, pos, radii, fixed):
-    """Move a whole pattern by the Minkowski transformation B.
-
-    One array pass: a disk (x, r) is its spacelike plane normal
-    (cos r, x) / sin r, an ideal vertex (fixed, or radius 0) the lightlike
-    point (1, x).  After B a disk is read back as x = n[1:] / |n[1:]| and
-    r = atan2(1, n[0]), an ideal vertex as x = n[1:] / n[0].  The
-    orthogonality relations are Moebius-invariant, so residuals survive up
-    to roundoff.  A disk whose image covers a hemisphere or more (n[0] <= 0)
-    raises SolveError.
-
-    Each step rounds as the per-vertex ``B @ v`` would, so the transported
-    pattern does not depend on the batching: einsum's row products,
-    sqrt(vecdot) for the norms and math.atan2 per disk.
-    """
+    """Move a whole pattern by the Minkowski transformation B, in one array
+    pass: a disk (x, r) is its plane normal (cos r, x) / sin r, an ideal
+    vertex (fixed, or radius 0) the lightlike point (1, x), and
+    ``_read_normals`` reads the images back.  Orthogonality is
+    Moebius-invariant, so residuals survive up to roundoff.  Each step
+    rounds as the per-vertex ``B @ v`` would (einsum's row products,
+    sqrt(vecdot) for the norms, math.atan2 per disk)."""
     ideal = fixed | (radii <= 0.0)
     disk = ~ideal
     normals = np.column_stack([np.cos(radii), pos])
     normals[ideal, 0] = 1.0
     normals[disk] /= np.sin(radii[disk])[:, None]
-    out = np.einsum("ij,nj->ni", B, normals)
+    return _read_normals(np.einsum("ij,nj->ni", B, normals), ideal, radii)
+
+
+def _read_normals(out, ideal, radii):
+    """The pattern of the normals ``out``: a disk x = n[1:] / |n[1:]|,
+    r = atan2(1, n[0]), an ideal vertex x = n[1:] / n[0] keeping its entry
+    of ``radii``; a disk past a hemisphere (n[0] <= 0) raises SolveError."""
+    disk = ~ideal
     n0, nvec = out[disk, 0], out[disk, 1:]
     nn = np.sqrt(np.vecdot(nvec, nvec))
     if np.any((n0 <= 0.0) | (nn <= 0.0)):
-        raise SolveError("normalization pushed a disk past a hemisphere")
+        raise SolveError("a disk reached past a hemisphere")
     new_pos = out[:, 1:].copy()
     new_pos[ideal] /= out[ideal, :1]
     new_pos[disk] = nvec / nn[:, None]
@@ -309,63 +180,200 @@ def moebius_normalize(pos: np.ndarray, radii: np.ndarray, fixed: np.ndarray):
     return pos, radii, res, steps
 
 
-# -- top-level solve ---------------------------------------------------------
+# -- the convex solve --------------------------------------------------------
 
 
-def solve_pattern(tri: AbstractTriangulation, fixed_zero=(), seed: int = 0,
-                  tol: float = 1e-11, max_starts: int = 8,
-                  validate=None) -> PatternSolution:
-    """Solve the orthogonal circle pattern of a closed triangulation.
+ANGLE_TOL = 1e-12          # max |angle-sum error| below which the Newton steps may stop
+NEWTON_MAX_STEPS = 100     # Newton steps of the angle-sum solve
+NEWTON_MAX_HALVINGS = 40   # halvings of one step above ANGLE_TOL before the solve gives up
+_J = np.array([-1, 1, 1], dtype=np.longdouble)  # R^{1,2}: <a, b> = a @ (J b), cross J (a x b)
 
-    Multi-start: each attempt takes the next pole vertex for the Tutte
-    initialization, runs LM, Moebius-normalizes and re-polishes.  Poles go
-    by descending degree (ties in a seeded order): from a high-degree pole
-    such as a cap center the first start converges where low-degree poles
-    stagnate.  ``validate`` may reject a converged solution (returning an
-    error string) to force a restart, e.g. when non-adjacent disks overlap.
-    Raises SolveError with the record of every start if all of them fail.
+
+def _hyperbolic_corners(C, s, faces):
+    """Corner angles (m, 3) of the triangles of centres of pairwise
+    orthogonal circles (cosh R = C, sinh(R)^2 = s) on the rows of ``faces``,
+    and the partials (m, 9) d alpha_i / d u_j, u = log tanh(R/2), of each.
+    The corner at x of (x, y, z) is atan2(sqrt(Q), C_y C_z s_x), with
+    Q = s_x s_y + s_x s_z + s_y s_z + 2 s_x s_y s_z; a point (s = 0, a hub)
+    has a right angle.  With E_xy = sinh(d_xy)^2 = s_x + s_y + s_x s_y,
+    d alpha_x / d u_y = C_z s_x s_y / (sqrt(Q) E_xy) and
+    d alpha_x / d u_x = -C_x C_y C_z s_x (Q + s_y s_z) / (sqrt(Q) E_xy E_xz)."""
+    a, c = s[faces], C[faces]
+    b, d = a[:, [1, 2, 0]], a[:, [2, 0, 1]]        # s at the next and previous corner
+    q = (a * b).sum(axis=1) + 2.0 * a.prod(axis=1)
+    p = np.sqrt(q)[:, None]
+    angles = np.arctan2(np.broadcast_to(p, a.shape), c[:, [1, 2, 0]] * c[:, [2, 0, 1]] * a)
+    e = a + b + a * b                                # E of corners k and k + 1
+    off = c[:, [2, 0, 1]] * a * b / (p * e)          # d alpha_k / d u_k+1
+    diag = -c.prod(axis=1)[:, None] * a * (q[:, None] + b * d) / (p * e * e[:, [2, 0, 1]])
+    return angles, np.column_stack([diag[:, 0], off[:, 0], off[:, 2], off[:, 0], diag[:, 1],
+                                    off[:, 1], off[:, 2], off[:, 1], diag[:, 2]])
+
+
+def _angle_sums(u, faces, var):
+    """cosh R and sinh(R)^2 per vertex, from u = log tanh(R/2) of the circles
+    with ``var`` >= 0 (the others are points), their angle sums over
+    ``faces`` and the Newton matrix d sum_x / d u_y, the faces' partials
+    summed by one bincount."""
+    n, free, idx = len(u), var >= 0, var[faces]
+    C, s = np.ones(len(var)), np.zeros(len(var))
+    m = -np.expm1(2.0 * u)                     # with t = e^u, m = 1 - t^2
+    C[free], s[free] = 2.0 / m - 1.0, (2.0 * np.exp(u) / m) ** 2
+    angles, parts = _hyperbolic_corners(C, s, faces)
+    rows, cols = idx[:, [0, 0, 0, 1, 1, 1, 2, 2, 2]], idx[:, [0, 1, 2] * 3]
+    live = (rows >= 0) & (cols >= 0)
+    H = np.bincount(rows[live] * n + cols[live], parts[live], minlength=n * n)
+    return C, s, np.bincount(idx[idx >= 0], angles[idx >= 0], minlength=n), H.reshape(n, n)
+
+
+def _solve_radii(faces, var, target):
+    """``_angle_sums``' cosh R and sinh(R)^2 at the angle sums ``target``,
+    the Newton steps taken and the final max |error|.  A step is halved
+    until max |error| shrinks; at or below ``ANGLE_TOL`` it is not, and the
+    steps stop once max |error| does not shrink."""
+    u = np.full(int(var.max()) + 1, -1.0)     # R about 0.77
+    C, s, sums, H = _angle_sums(u, faces, var)
+    err, steps = float(np.max(np.abs(sums - target))), 0
+    while steps < NEWTON_MAX_STEPS:
+        try:
+            step = np.linalg.solve(H, target - sums)
+        except np.linalg.LinAlgError:
+            raise SolveError("singular Newton matrix of the angle sums") from None
+        new_err = math.inf
+        for _ in range(NEWTON_MAX_HALVINGS):
+            if (u + step).max() < 0.0:
+                trial = _angle_sums(u + step, faces, var)
+                new_err = float(np.max(np.abs(trial[2] - target)))
+            if new_err < err or err <= ANGLE_TOL:
+                break
+            step = step / 2.0
+        if not new_err < err:
+            break
+        u, (C, s, sums, H), err, steps = u + step, trial, new_err, steps + 1
+    if err > ANGLE_TOL:
+        raise SolveError(f"angle sums stopped at max error {err:.3e} after {steps} Newton "
+                         "steps", best_residual=err)
+    return C, s, steps, err
+
+
+def _layout(faces, C, s, first):
+    """Centres on the hyperboloid H^2, in np.longdouble, of the vertices on
+    ``faces`` (oriented rows; other rows 0): face ``first``'s first vertex
+    at the origin (1, 0, 0), then over a breadth-first search of the faces,
+    each turned off the placed edge at the corner of the end nearer it."""
+    C, s = C.astype(np.longdouble), s.astype(np.longdouble)
+    c = np.zeros((len(C), 3), dtype=np.longdouble)
+
+    def put(p, q, r, turn):
+        # r from p, turned by the corner at p from q (turn 1: (p, q, r) cyclic)
+        v = c[q] + (c[p] @ (_J * c[q])) * c[p]
+        v /= np.sqrt(v @ (_J * v))
+        # cosh d_pr = C_p C_r; sinh d_pr (cos, sin) of the corner is
+        # (C_q C_r s_p, sqrt(Q)) / sinh d_pq (``_hyperbolic_corners``)
+        root_q = np.sqrt(s[p] * s[q] + s[p] * s[r] + s[q] * s[r] + 2 * s[p] * s[q] * s[r])
+        x = C[p] * C[r] * c[p] + (C[q] * C[r] * s[p] * v + turn * root_q * _J
+                                  * np.cross(c[p], v)) / np.sqrt(s[p] + s[q] + s[p] * s[q])
+        c[r] = x / np.sqrt(-(x @ (_J * x)))
+
+    across = {}
+    for k, f in enumerate(faces.tolist()):
+        for i in range(3):
+            across.setdefault(frozenset((f[i], f[i - 1])), []).append(k)
+    x, y, z = faces[first]
+    c[x], c[y] = (1, 0, 0), (C[x] * C[y], np.sqrt(s[x] + s[y] + s[x] * s[y]), 0)
+    put(x, y, z, 1)
+    seen, queue = {first}, deque([first])
+    while queue:
+        f = faces[queue.popleft()].tolist()
+        for k in range(3):
+            p, q = f[k - 2], f[k - 1]           # (p, q, f[k]) in cyclic order
+            if c[f[k], 0] == 0:
+                put(*((q, p, f[k], -1) if c[q, 0] < c[p, 0] else (p, q, f[k], 1)))
+            for g in across[frozenset((p, q))]:
+                if g not in seen:
+                    seen.add(g)
+                    queue.append(g)
+    return c
+
+
+def _framed_pattern(tri: AbstractTriangulation, fixed_zero=()):
+    """The pattern of ``solve_pattern`` before its gauge: positions, radii
+    and hub mask (rows in ``tri.vertices`` order), the pole, the Newton
+    steps and the final max |angle-sum error|.  Works on vertex ids."""
+    nv, nbrs = len(tri.vertices), tri._nbrs
+    hub = np.zeros(nv, dtype=bool)
+    hub[[tri._id[v] for v in fixed_zero]] = True
+    allowed = [v for v in range(nv) if not hub[v] and not hub[nbrs[v]].any()]
+    if not allowed:
+        raise SolveError("no pole: every vertex is a hub or next to one")
+    pole = max(allowed, key=lambda v: (len(nbrs[v]), -v))
+    link, star, on_link = np.zeros(nv, bool), np.zeros(nv, bool), np.zeros(nv, int)
+    link[nbrs[pole]] = star[nbrs[pole] + [pole]] = True
+    for w in nbrs[pole]:
+        on_link[nbrs[w]] += 1
+    free = ~star & ~hub
+    if np.any(on_link[free] > 2):
+        raise SolveError("a vertex has more than two neighbours in the pole's link")
+    faces = np.array([[tri._id[v] for v in f] for f in tri.oriented_faces()])
+    faces = faces[~star[faces].any(axis=1)]
+    var = np.where(free, np.cumsum(free) - 1, -1)
+    target = np.array([2 * math.pi, math.pi, math.pi / 2])[on_link[free]]
+    C, s, steps, err = _solve_radii(faces, var, target)
+
+    depth, frontier = np.where(star, 0, -1), np.flatnonzero(link)
+    while frontier.size:                        # breadth-first from the link
+        frontier = np.array(sorted({y for x in frontier for y in nbrs[x] if depth[y] < 0}), int)
+        depth[frontier] = depth.max() + 1
+    centres = _layout(faces, C, s, int(np.argmax(depth[faces].min(axis=1))))
+    placed = centres[:, 0] > 0
+    if not placed[~star].all():
+        raise SolveError("the faces away from the pole's star are not connected")
+
+    normals = np.zeros((nv, 4), dtype=np.longdouble)
+    sinh = np.sqrt(s[free].astype(np.longdouble))[:, None]
+    normals[free] = np.column_stack([centres[free], -C[free]]) / sinh
+    normals[hub, :3], normals[hub, 3] = centres[hub], -1
+    middle = centres[placed].sum(axis=0)
+    for w in np.flatnonzero(link):
+        # the geodesic through the centres of the two ends of the path of
+        # w's link away from the pole
+        ring = tri._link_cycles[w]
+        k = ring.index(pole)
+        geodesic = _J * np.cross(centres[ring[k - 2]], centres[ring[(k + 2) % len(ring)]])
+        geodesic /= np.sqrt(geodesic @ (_J * geodesic))
+        normals[w, :3] = -geodesic if middle @ (_J * geodesic) > 0 else geodesic
+    normals[pole, 3] = 1
+    total = normals.sum(axis=0)
+    if not total[0] > np.sqrt(total[1:] @ total[1:]):
+        raise SolveError("the lifted normals do not sum to a future timelike vector")
+    frame = boost_to(-(total[1:] / total[0]).astype(float)).astype(np.longdouble)
+    pos, r = _read_normals(np.einsum("ij,nj->ni", frame, normals).astype(float), hub,
+                           np.zeros(nv))
+    back = np.argsort(tri._position)
+    return pos[back], r[back], hub[back], tri._names[pole], steps, err
+
+
+def solve_pattern(tri: AbstractTriangulation, fixed_zero=(), tol: float = 1e-11):
+    """Solve the orthogonal circle pattern of a closed flag triangulation.
+
+    The pole, the first vertex of maximum degree that is neither a hub (of
+    ``fixed_zero``, radius 0) nor next to one, gets a hemisphere.  In the
+    other, a hyperbolic plane, its link vertices are geodesics, the hubs
+    points, and the other vertices circles, of angle sum 2 pi, pi or pi/2
+    over the faces off its closed star with 0, 1 or 2 link neighbours.  The
+    lift to R^{1,3} takes a circle to (c, -cosh R) / sinh R, a hub to
+    (c, -1), a link geodesic to (n, 0), n facing away from the centres, and
+    the pole to (0, 0, 0, 1); a boost takes the normals' sum to the time
+    axis, and ``moebius_normalize`` fixes the gauge.  Raises SolveError when
+    a step fails or the edge residual is above ``tol``.
     """
-    problem = PatternProblem(tri, fixed_zero)
-    rng = np.random.default_rng(seed)
-    attempts = []
-    order = sorted(rng.permutation(len(tri.vertices)),
-                   key=lambda i: -tri.degree(tri.vertices[i]))
-    for attempt in range(max_starts):
-        pole = tri.vertices[order[attempt % len(order)]]
-        pos0 = tutte_sphere_init(tri, pole, rng)
-        theta, resid, iters = levenberg_marquardt(
-            problem, problem.pack(pos0, initial_radii(problem, pos0)))
-        pos, r = problem.unpack(theta)
-        reason = None
-        if resid > tol:
-            reason = f"stagnated at residual {resid:.3e}"
-        elif np.any(r[problem.free_r] <= 1e-6) or np.any(r[problem.free_r] >= math.pi / 2 - 1e-9):
-            reason = "radii left (0, pi/2)"
-        else:
-            try:
-                pos, r, norm_res, norm_steps = moebius_normalize(pos, r, problem.fixed)
-            except SolveError as exc:
-                reason = str(exc)
-        if reason is None:
-            theta, _, more = levenberg_marquardt(problem, problem.pack(pos, r))
-            iters += more
-            pos, r = problem.unpack(theta)
-            pos = pos / np.linalg.norm(pos, axis=1)[:, None]
-            resid = float(np.max(np.abs(problem.residuals(problem.pack(pos, r))[:len(problem.edges)])))
-            if resid > tol:
-                reason = f"post-normalization residual {resid:.3e}"
-            else:
-                sol = PatternSolution(positions=pos, radii=r, residual=resid,
-                                      iterations=iters, pole=pole, starts=attempt + 1,
-                                      normalization_residual=norm_res,
-                                      normalization_steps=norm_steps)
-                reason = validate(sol) if validate is not None else None
-                if not reason:
-                    return sol
-        attempts.append(SolveAttempt(pole, resid, iters, reason))
-    last_reason = attempts[-1].reason if attempts else "no attempts"
-    raise SolveError(
-        f"circle pattern did not converge after {max_starts} starts ({last_reason}); "
-        "this is not a proof of nonexistence",
-        best_residual=min((a.residual for a in attempts), default=math.inf),
-        attempts=tuple(attempts))
+    pos, r, hub, pole, steps, err = _framed_pattern(tri, fixed_zero)
+    pos, r, norm_res, norm_steps = moebius_normalize(pos, r, hub)
+    eu, ev = np.asarray(tri._position)[np.array(list(tri._edge_faces))].T
+    resid = float(np.max(np.abs(np.vecdot(pos[eu], pos[ev]) - np.cos(r[eu]) * np.cos(r[ev]))))
+    if resid > tol:
+        raise SolveError(f"circle pattern residual {resid:.3e} above {tol:.1e}; "
+                         "this is not a proof of nonexistence", best_residual=resid)
+    return PatternSolution(positions=pos, radii=r, residual=resid, iterations=steps,
+                           pole=pole, angle_residual=err,
+                           normalization_residual=norm_res, normalization_steps=norm_steps)

@@ -152,7 +152,6 @@ class RealizationResult:
     capping: Optional[CappingInfo]
     residual: float
     acute: AcuteReport                         # corner angles of the input faces
-    seed: int
 
     @property
     def margin(self) -> float:
@@ -225,7 +224,7 @@ def _invariant_check(tri: AbstractTriangulation, hubs=()):
     """
     i, j = _nonedge_pairs(tri)
     # non-adjacent disks must be disjoint (cited for genuine nerve patterns;
-    # verified post hoc, violations force a restart); the two disks opposite
+    # verified post hoc, a violation is a SolveError); the two disks opposite
     # across an ideal hub are tangent at the hub point, and so are those
     # opposite across a square boundary, where the capping puts a hub
     rings = [tri._nbrs[tri._id[h]] for h in hubs] + [
@@ -275,23 +274,20 @@ def _invariant_check(tri: AbstractTriangulation, hubs=()):
     return check
 
 
-def realize_sphere(tri: AbstractTriangulation, seed: int = 0, tol: float = 1e-11,
-                   max_starts: int = 8) -> RealizationResult:
+def realize_sphere(tri: AbstractTriangulation, seed: int = 0,
+                   tol: float = 1e-11) -> RealizationResult:
     """Realize a triangulation as an acute geodesic triangulation of S^2.
 
     An input that ``acute_obstruction`` rejects raises CombinatorialRefusal
-    with its reason and witness.  The returned realization restricts to the
-    input triangulation; the full capped pattern is kept alongside for
-    projection.
+    with its reason and witness; a pattern that fails the realization checks
+    raises SolveError.  The pattern is unique, so ``seed`` is ignored.  The
+    realization restricts to the input; the capped one is kept alongside.
     """
     obstruction = acute_obstruction(tri)
     if obstruction:
         raise CombinatorialRefusal(*obstruction)
-    if tri.is_closed:
-        capping = None
-        closed = tri
-        hubs = ()
-    else:
+    capping, closed, hubs = None, tri, ()
+    if not tri.is_closed:
         capping = glue_caps(tri)
         closed = capping.closed
         hubs = capping.hub_vertices
@@ -302,12 +298,13 @@ def realize_sphere(tri: AbstractTriangulation, seed: int = 0, tol: float = 1e-11
                 "apply, e.g. for the bare square wheel whose interior hub "
                 "forces a right angle", None)
 
+    sol = solve_pattern(closed, fixed_zero=hubs, tol=tol)
     # the restricted realization needs no check of its own: it keeps the
     # positions and radii, and every interior vertex keeps its faces
-    check = _invariant_check(closed, hubs)
-    sol = solve_pattern(closed, fixed_zero=hubs, seed=seed, tol=tol,
-                        max_starts=max_starts,
-                        validate=lambda s: check(s.positions, s.radii))
+    message = _invariant_check(closed, hubs)(sol.positions, sol.radii)
+    if message:
+        raise SolveError(f"circle pattern fails a realization check: {message}",
+                         best_residual=sol.residual)
 
     positions = dict(zip(closed.vertices, sol.positions))
     radii = dict(zip(closed.vertices, sol.radii.tolist()))
@@ -325,7 +322,7 @@ def realize_sphere(tri: AbstractTriangulation, seed: int = 0, tol: float = 1e-11
             best_residual=sol.residual)
     return RealizationResult(realization=real, closed_realization=closed_real,
                              capping=capping, residual=sol.residual,
-                             acute=acute, seed=seed)
+                             acute=acute)
 
 
 # -- verification reports ----------------------------------------------------
@@ -482,11 +479,6 @@ class AlphaEstimate:
     # status); status 1 means the stage stopped at its iteration limit
     stages: tuple = ()
 
-    def to_json(self):
-        return {"value": self.value, "starts": self.starts, "valid": self.valid,
-                "per_start": list(self.per_start),
-                "stages": [list(stage) for stage in self.stages]}
-
 
 def _corner_terms(pos, corner_idx):
     """Corner angles at A of the corners (A, B, C) of unit positions, with the
@@ -622,7 +614,7 @@ def alpha_estimate(tri: AbstractTriangulation, seed: int = 0, starts: int = 3,
     seeded_from = None
     if fns:
         try:
-            seeded_from = realize_sphere(tri, seed=seed, tol=tol)
+            seeded_from = realize_sphere(tri, tol=tol)
         except SolveError:
             pass
         else:

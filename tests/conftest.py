@@ -36,6 +36,19 @@ def random_triangle(rng):
             return from_sides(a, b, c)
 
 
+def lobell(n):
+    """The bicapped n-gonal antiprism, dual of the Loebell polyhedron L(n):
+    poles N and S over rings a_i and b_i, 2n + 2 vertices.  n = 5 is the
+    icosahedron; every n >= 5 gives a flag no-square sphere."""
+    from acutesphere.triangulation import AbstractTriangulation
+    a, b = [f"a{i}" for i in range(n)], [f"b{i}" for i in range(n)]
+    faces = []
+    for i in range(n):
+        j = (i + 1) % n
+        faces += [("N", a[i], a[j]), ("S", b[j], b[i]), (a[i], b[i], a[j]), (a[j], b[i], b[j])]
+    return AbstractTriangulation(["N", "S"] + a + b, faces)
+
+
 def random_flips(tri, rng, count, keep=None):
     """Up to ``count`` diagonal flips of random interior edges (``rng`` is a
     ``random.Random``); with ``keep``, a flip whose result fails ``keep`` is
@@ -406,40 +419,6 @@ def reference_moebius_normalize(pos, radii, fixed):
 
     res = least_squares(fun, np.zeros(3), xtol=1e-15, ftol=1e-15, gtol=1e-15)
     return _transport_pattern(boost_to(_to_ball(res.x)), pos, radii, fixed)
-
-
-def reference_initial_radii(problem, pos):
-    """Edge-loop oracle of ``pattern.initial_radii``."""
-    acc = np.zeros(problem.nv)
-    cnt = np.zeros(problem.nv)
-    for u, v in problem.edges:
-        d = math.acos(float(np.clip(pos[u] @ pos[v], -1.0, 1.0)))
-        acc[u] += d
-        acc[v] += d
-        cnt[u] += 1
-        cnt[v] += 1
-    mean = acc / np.maximum(cnt, 1)
-    r = np.arccos(np.sqrt(np.clip(np.cos(mean), 0.05, 1.0)))
-    r = np.clip(r, 0.05, 1.4)
-    r[problem.fixed] = 0.0
-    return r
-
-
-def reference_jacobian(problem, theta):
-    """Dense Jacobian of ``PatternProblem.residuals``, one edge row and one
-    unit-norm row at a time: the oracle of ``PatternProblem.normal_equations``."""
-    pos, r = problem.unpack(theta)
-    J = np.zeros((problem.nres, problem.nvar))
-    for i, (u, v) in enumerate(problem.edges):
-        J[i, 3 * u:3 * u + 3] = pos[v]
-        J[i, 3 * v:3 * v + 3] = pos[u]
-        if not problem.fixed[u]:
-            J[i, problem.r_col[u]] = math.sin(r[u]) * math.cos(r[v])
-        if not problem.fixed[v]:
-            J[i, problem.r_col[v]] = math.cos(r[u]) * math.sin(r[v])
-    for v in range(problem.nv):
-        J[len(problem.edges) + v, 3 * v:3 * v + 3] = 2.0 * pos[v]
-    return J
 
 
 def reference_smoothed_max_angle(flat, corner_idx, sharpness):

@@ -67,8 +67,8 @@ def test_check_report_independent_of_hash_seed():
 
 
 def test_realize_positions_independent_of_hash_seed():
-    # the pattern problem orients each edge by vertex index, not by the set
-    # order of its two labels, so the solve is the same under every hash seed
+    # the solve indexes vertices by id and faces in their oriented order,
+    # never by set order, so it is the same under every hash seed
     src = str(Path(acutesphere.__file__).resolve().parents[1])
     positions = set()
     for hash_seed in ("0", "1"):
@@ -94,6 +94,22 @@ def test_realize_report_independent_of_hash_seed():
             env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         outputs.add(proc.stdout)
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("name", ["sphere_34", "maehara_cap_5"])
+def test_realize_output_does_not_depend_on_seed(tmp_path, capsys, name):
+    # the circle pattern is unique and solved without randomness: apart from
+    # the seed it echoes, the report, and every file --out writes, are the
+    # same bytes under --seed 0 to 3
+    outputs = set()
+    for seed in range(4):
+        out = tmp_path / str(seed)
+        assert main(["realize", fixture_file(name), "--out", str(out), "--seed", str(seed)]) == 0
+        report = capsys.readouterr().out
+        assert f'"seed": {seed},' in report
+        files = tuple((f.name, f.read_bytes()) for f in sorted(out.iterdir()))
+        outputs.add((report.replace(f'"seed": {seed},', ""), files))
     assert len(outputs) == 1
 
 

@@ -9,9 +9,9 @@ from acutesphere import fixtures, pattern, realization
 from acutesphere.errors import SolveError, ValidationError
 from acutesphere.exports import realization_svg
 from acutesphere.klein import boost_to
-from acutesphere.pattern import (PatternProblem, _transport_pattern, initial_radii,
-                                 levenberg_marquardt, moebius_normalize, solve_pattern,
-                                 tutte_sphere_init)
+from acutesphere.pattern import (ANGLE_TOL, _angle_sums, _framed_pattern,
+                                 _hyperbolic_corners, _transport_pattern, moebius_normalize,
+                                 solve_pattern, tutte_sphere_init)
 from acutesphere.realization import (VIEWPOINT_TOL, CombinatorialRefusal, GeodesicRealization,
                                      _corner_index_arrays, _euclidean_circles,
                                      _invariant_check, _nonedge_pairs, _smoothed_max_angle,
@@ -25,7 +25,7 @@ from acutesphere.triangulation import (AbstractTriangulation, EdgeLabeling, doub
                                        is_flag_no_square, maehara_cap)
 
 from conftest import (corner_angle, euclidean_corner_angles, euclidean_orthogonality_residual,
-                      euclidean_perpendicular_ratio_deviation, reference_euclidean_circle, reference_initial_radii, reference_jacobian,
+                      euclidean_perpendicular_ratio_deviation, lobell, reference_euclidean_circle,
                       reference_moebius_normalize, reference_smoothed_max_angle,
                       reference_transport_pattern, stereographic)
 
@@ -96,29 +96,6 @@ def test_realize_deterministic_under_seed(load):
     for v in a.realization.parent.vertices:
         assert np.allclose(a.realization.positions[v], b.realization.positions[v])
         assert a.realization.radii[v] == b.realization.radii[v]
-
-
-def test_solver_rotation_equivariance(load):
-    tri = load("icosahedron")
-    problem = PatternProblem(tri)
-    rng = np.random.default_rng(1)
-    pos0 = tutte_sphere_init(tri, tri.vertices[0], rng)
-    r0 = initial_radii(problem, pos0)
-    theta1, res1, _ = levenberg_marquardt(problem, problem.pack(pos0, r0))
-
-    # fixed rotation of the initialization
-    axis = np.array([0.3, -0.5, 0.81])
-    axis /= np.linalg.norm(axis)
-    K = np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]],
-                  [-axis[1], axis[0], 0]])
-    Q = np.eye(3) + math.sin(0.7) * K + (1 - math.cos(0.7)) * (K @ K)
-    theta2, res2, _ = levenberg_marquardt(problem, problem.pack(pos0 @ Q.T, r0))
-
-    assert res1 < 1e-12 and res2 < 1e-12
-    assert abs(res1 - res2) < 1e-12
-    _, r1 = problem.unpack(theta1)
-    _, r2 = problem.unpack(theta2)
-    assert np.max(np.abs(np.sort(r1) - np.sort(r2))) < 1e-8
 
 
 def test_hand_built_right_angles_fail_acute(load):
@@ -366,7 +343,6 @@ def test_alpha_descends_once_from_the_pattern(load, monkeypatch, name):
     assert a.valid and a.seeded_from is not None
     assert [stage[0] for stage in a.stages] == [30.0, 120.0, 600.0]
     assert sum(stage[2] for stage in a.stages) > 0
-    assert a.to_json()["stages"] == [list(stage) for stage in a.stages]
 
 
 def test_alpha_falls_back_to_tutte_starts_when_seeded_end_fails(load, monkeypatch):
@@ -473,28 +449,6 @@ def test_subordinate_fails_with_right_angle(load):
     assert not is_subordinate(real, EdgeLabeling(octa, {}))
 
 
-def test_pattern_jacobian_matches_finite_differences(load):
-    # central differences on every column, at a Tutte start: the closed
-    # icosahedron, and the capped square disk whose hub has radius zero
-    # (no radius column) while its neighbours keep theirs
-    capped = glue_caps(load("square_disk_a"))
-    cases = [(load("icosahedron"), ()), (capped.closed, capped.hub_vertices)]
-    rng = np.random.default_rng(7)
-    h = 1e-6
-    for tri, hubs in cases:
-        problem = PatternProblem(tri, fixed_zero=hubs)
-        pos0 = tutte_sphere_init(tri, tri.vertices[0], rng)
-        theta = problem.pack(pos0, initial_radii(problem, pos0))
-        J = reference_jacobian(problem, theta)
-        assert J.shape == (problem.nres, problem.nvar)
-        assert problem.nvar == 4 * len(tri.vertices) - len(hubs)
-        for col in range(problem.nvar):
-            step = np.zeros(problem.nvar)
-            step[col] = h
-            fd = (problem.residuals(theta + step) - problem.residuals(theta - step)) / (2 * h)
-            assert np.max(np.abs(fd - J[:, col])) < 1e-8, (tri, col)
-
-
 def _unit_rows(rng, n):
     x = rng.standard_normal((n, 3))
     return x / np.linalg.norm(x, axis=1)[:, None]
@@ -525,32 +479,6 @@ def test_transport_matches_per_vertex_reference():
         assert np.max(np.abs(new_r - ref_r)) <= 1e-15
         moved += 1
     assert moved > 50 and refused > 50
-
-
-def test_initial_radii_and_jacobian_match_loop_references(load):
-    # the closed icosahedron and the capped square disk, whose hubs have
-    # radius 0 and no radius column; at a Tutte start and at random points.
-    # The scattered normal equations match J^T J and J^T r of the dense
-    # oracle J, and J^T J comes out exactly symmetric
-    capped = glue_caps(load("square_disk_a"))
-    rng = np.random.default_rng(13)
-    for tri, hubs in [(load("icosahedron"), ()), (capped.closed, capped.hub_vertices)]:
-        problem = PatternProblem(tri, fixed_zero=hubs)
-        starts = [tutte_sphere_init(tri, tri.vertices[0], rng)]
-        starts += [_unit_rows(rng, problem.nv) for _ in range(5)]
-        for pos in starts:
-            r0 = initial_radii(problem, pos)
-            assert np.max(np.abs(r0 - reference_initial_radii(problem, pos))) <= 1e-15
-            for theta in (problem.pack(pos, r0),
-                          problem.pack(pos * rng.uniform(0.5, 1.5, (problem.nv, 1)),
-                                       rng.uniform(0.0, 1.5, problem.nv))):
-                res = problem.residuals(theta)
-                A, g = problem.normal_equations(theta, res)
-                J = reference_jacobian(problem, theta)
-                bound = 1e-13 * np.max(np.abs(A))
-                assert np.max(np.abs(A - J.T @ J)) <= bound
-                assert np.max(np.abs(g - J.T @ res)) <= bound
-                assert np.array_equal(A, A.T)
 
 
 def test_euclidean_circles_match_three_point_reference():
@@ -594,9 +522,8 @@ def test_euclidean_circles_refuse_circle_through_viewpoint():
 
 @pytest.mark.parametrize("n", [12, 20, 40])
 def test_realize_double_cap_ladder_first_start(n):
-    # the degree-ranked pole puts a cap center at the north pole, from
-    # where the first start converges on every rung of the ladder
-    res = realize_sphere(double(maehara_cap(n)), seed=0, max_starts=1)
+    # one solve realizes every rung of the ladder
+    res = realize_sphere(double(maehara_cap(n)), seed=0)
     assert res.residual <= 1e-11
     assert res.margin > 0
     assert pattern_residuals(res.closed_realization).min_clearance() > 0
@@ -604,41 +531,108 @@ def test_realize_double_cap_ladder_first_start(n):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_realize_182_vertex_double_on_first_start_across_seeds(seed):
-    # double(maehara_cap(20)), the benchmark's probe rung, realizes from the
-    # first start on other seeds as well as seed 0 (ladder test above)
-    res = realize_sphere(double(maehara_cap(20)), seed=seed, max_starts=1)
+    # double(maehara_cap(20)), the benchmark's probe rung, realizes on other
+    # seeds as well as seed 0 (ladder test above)
+    res = realize_sphere(double(maehara_cap(20)), seed=seed)
     assert len(res.realization.parent.vertices) == 182
     assert res.residual <= 1e-11
     assert res.margin > 0
 
 
-def test_solve_pattern_records_starts(load):
+@pytest.mark.parametrize("n", [140, 200])
+def test_realize_lobell_spheres_with_a_high_degree_pole(n):
+    # the bicapped antiprism has two vertices of degree n; the multi-start
+    # Levenberg-Marquardt solve this replaced failed on every start from
+    # n = 140 up ("radii left (0, pi/2)")
+    res = realize_sphere(lobell(n))
+    assert len(res.realization.parent.vertices) == 2 * n + 2
+    assert res.residual <= 1e-11
+    assert res.margin > 0
+
+
+def test_lobell_5_is_the_icosahedron(load):
+    ico, tri = load("icosahedron"), lobell(5)
+    assert sorted(map(len, ico.adjacency.values())) == sorted(map(len, tri.adjacency.values()))
+    res = realize_sphere(tri)
+    assert max(abs(r - math.acos(5 ** -0.25)) for r in res.realization.radii.values()) <= 1e-12
+
+
+def _pole_rule(tri, hubs):
+    """Degree of the vertices that are neither hubs nor next to one."""
+    near = set(hubs) | {v for h in hubs for v in tri.adjacency[h]}
+    return {v: tri.degree(v) for v in tri.vertices if v not in near}
+
+
+def test_solve_pattern_records_its_solve(load, monkeypatch):
+    capped = glue_caps(load("square_disk_a"))
+    cases = [(load("icosahedron"), ()), (double(maehara_cap(5)), ()),
+             (capped.closed, capped.hub_vertices)]
+    for tri, hubs in cases:
+        sol = solve_pattern(tri, fixed_zero=hubs)
+        allowed = _pole_rule(tri, hubs)
+        assert allowed[sol.pole] == max(allowed.values())
+        assert 1 <= sol.iterations <= 12
+        assert sol.angle_residual <= ANGLE_TOL
+        assert sol.residual <= 1e-13
+        assert 0.0 <= sol.normalization_residual <= 1e-12 * len(tri.vertices)
+        assert 0 <= sol.normalization_steps <= 8
+        assert np.all(sol.radii[[tri.vertices.index(h) for h in hubs]] == 0.0)
+    # the poles of the double are its two cap centers, the first in name order
+    assert solve_pattern(double(maehara_cap(5))).pole == "c"
+
     ico = load("icosahedron")
-    sol = solve_pattern(ico, seed=0)
-    assert sol.starts == 1 and sol.pole in ico.vertices
-    assert 1 <= sol.normalization_steps <= 8
-    assert 0.0 <= sol.normalization_residual <= 1e-14 * len(ico.vertices)
-    rejected = []
+    with pytest.raises(SolveError, match=r"residual .* above 0\.0e\+00") as exc:
+        solve_pattern(ico, tol=0.0)
+    assert 0.0 < exc.value.best_residual <= 1e-13
+    monkeypatch.setattr(pattern, "NEWTON_MAX_STEPS", 1)
+    with pytest.raises(SolveError, match="angle sums stopped at max error .* after 1 Newton steps"):
+        solve_pattern(ico)
+    # a pattern that fails the realization checks is a solve error, not a refusal
+    monkeypatch.undo()
+    monkeypatch.setattr(realization, "_invariant_check", lambda *args: lambda *a: "rejected")
+    with pytest.raises(SolveError, match="fails a realization check: rejected"):
+        realize_sphere(ico)
 
-    def reject_first(s):
-        rejected.append(s.pole)
-        return "rejected" if len(rejected) == 1 else None
 
-    sol = solve_pattern(ico, seed=0, validate=reject_first)
-    assert sol.starts == 2 and sol.pole == rejected[1] != rejected[0]
+def test_hyperbolic_corners_match_law_of_cosines():
+    # each corner against the arccos of the law of cosines, cosh d = C_x C_y
+    # for orthogonal circles, on seeded radii; a point (radius 0, a hub) has
+    # a right angle and leaves the other two corners to the same law
+    rng = np.random.default_rng(41)
+    R = rng.uniform(0.05, 4.0, size=(400, 3))
+    R[:100, 0] = 0.0
+    C, s = np.cosh(R).ravel(), np.sinh(R).ravel() ** 2
+    angles, _ = _hyperbolic_corners(C, s, np.arange(R.size).reshape(-1, 3))
+    c = np.cosh(R)
+    for k in range(3):
+        x, y, z = k, (k + 1) % 3, (k + 2) % 3
+        dxy, dxz, dyz = c[:, x] * c[:, y], c[:, x] * c[:, z], c[:, y] * c[:, z]
+        law = np.arccos((dxy * dxz - dyz) / np.sqrt((dxy ** 2 - 1) * (dxz ** 2 - 1)))
+        ok = R[:, x] > 0
+        assert np.max(np.abs(angles[ok, k] - law[ok])) <= 1e-12, k
+    assert np.all(angles[:100, 0] == math.pi / 2)
+    assert np.all(angles.sum(axis=1) < math.pi)
 
-    dbl = double(maehara_cap(5))
-    with pytest.raises(SolveError) as exc:
-        solve_pattern(dbl, seed=0, max_starts=3, validate=lambda s: "rejected")
-    err = exc.value
-    assert str(err).startswith("circle pattern did not converge after 3 starts (rejected)")
-    assert len(err.attempts) == 3
-    assert all(a.reason == "rejected" and a.residual <= 1e-11 and a.iterations > 0
-               for a in err.attempts)
-    # poles go down the degree ranking, the two cap centers first
-    assert {a.pole for a in err.attempts[:2]} == {"c", "c*"}
-    degrees = [dbl.degree(a.pole) for a in err.attempts]
-    assert degrees == sorted(degrees, reverse=True)
+
+def test_newton_matrix_matches_central_differences(load):
+    # the closed icosahedron, all circles, and the capped square disk, whose
+    # hubs are points with no unknown; at seeded u = log tanh(R/2)
+    capped = glue_caps(load("square_disk_a"))
+    rng = np.random.default_rng(43)
+    h = 1e-6
+    for tri, hubs in [(load("icosahedron"), ()), (capped.closed, capped.hub_vertices)]:
+        faces = np.array([[tri.vertices.index(v) for v in f] for f in tri.oriented_faces()])
+        free = np.array([v not in hubs for v in tri.vertices])
+        var = np.where(free, np.cumsum(free) - 1, -1)
+        u = rng.uniform(-3.0, -0.2, int(free.sum()))
+        H = _angle_sums(u, faces, var)[3]
+        assert np.max(np.abs(H - H.T)) <= 1e-14 * np.max(np.abs(H))
+        for j in range(len(u)):
+            step = np.zeros_like(u)
+            step[j] = h
+            fd = (_angle_sums(u + step, faces, var)[2]
+                  - _angle_sums(u - step, faces, var)[2]) / (2 * h)
+            assert np.max(np.abs(fd - H[:, j])) <= 1e-8, (tri, j)
 
 
 # -- Moebius normalization --------------------------------------------------
@@ -652,22 +646,27 @@ def _aligned(pos, target):
     return pos @ rot
 
 
+def _off_gauge(tri, hubs=()):
+    """The solve's pattern before its gauge, moved off it by a fixed boost."""
+    pos, r, hub, *_ = _framed_pattern(tri, hubs)
+    axis = np.array([0.3, -0.5, 0.81])
+    pos, r = _transport_pattern(boost_to(0.3 * axis / np.linalg.norm(axis)), pos, r, hub)
+    return pos, r, hub
+
+
 @pytest.mark.parametrize("name", ["icosahedron", "sphere_28", 5, 8])
 def test_moebius_normalize_matches_least_squares_reference(load, name):
-    # an LM solution from a Tutte start, before any normalization; the gauge
-    # fixes the boost, and the Newton steps compose boosts, so the two
-    # results agree up to a rotation of the sphere
+    # the solve's pattern before its gauge, boosted off it; the gauge fixes
+    # the boost, and the Newton steps compose boosts, so the two results
+    # agree up to a rotation of the sphere
     tri = double(maehara_cap(name)) if isinstance(name, int) else load(name)
-    problem = PatternProblem(tri)
-    pos0 = tutte_sphere_init(tri, tri.vertices[0], np.random.default_rng(3))
-    theta, _, _ = levenberg_marquardt(problem, problem.pack(pos0, initial_radii(problem, pos0)))
-    pos, r = problem.unpack(theta)
+    pos, r, hub = _off_gauge(tri)
     assert np.max(np.abs(pos.sum(axis=0))) > 0.1
-    new_pos, new_r, res, steps = moebius_normalize(pos, r, problem.fixed)
-    ref_pos, ref_r = reference_moebius_normalize(pos, r, problem.fixed)
+    new_pos, new_r, res, steps = moebius_normalize(pos, r, hub)
+    ref_pos, ref_r = reference_moebius_normalize(pos, r, hub)
     assert np.max(np.abs(new_r - ref_r)) <= 1e-12
     assert np.max(np.abs(_aligned(new_pos, ref_pos) - ref_pos)) <= 1e-12
-    assert res == np.max(np.abs(new_pos.sum(axis=0))) <= 1e-14 * problem.nv
+    assert res == np.max(np.abs(new_pos.sum(axis=0))) <= 1e-14 * len(r)
     assert 1 <= steps <= 8
 
 
@@ -676,7 +675,7 @@ def test_moebius_normalize_undoes_boosts(load, name, monkeypatch):
     # rigidity: a boosted pattern normalizes back to the solved one, up to a
     # rotation; far boosts toward a disk center make the first full Newton
     # step push a disk past a hemisphere, so the step is halved
-    sol = solve_pattern(load(name), seed=0)
+    sol = solve_pattern(load(name))
     fixed = np.zeros(len(sol.radii), dtype=bool)
     refused = []
 
@@ -750,22 +749,21 @@ def test_moebius_normalize_failures_are_solve_errors(load, monkeypatch):
         moebius_normalize(near, np.full(3, 0.3), np.zeros(3, dtype=bool))
     # steps run out while max |S| is still above the bound
     ico = load("icosahedron")
-    problem = PatternProblem(ico)
-    pos0 = tutte_sphere_init(ico, ico.vertices[0], np.random.default_rng(3))
-    theta, _, _ = levenberg_marquardt(problem, problem.pack(pos0, initial_radii(problem, pos0)))
-    pos, r = problem.unpack(theta)
+    pos, r, hub = _off_gauge(ico)
     monkeypatch.setattr(pattern, "NORMALIZE_MAX_STEPS", 1)
     with pytest.raises(SolveError, match=r"normalization stopped at max \|sum of centers\| .* after 1 steps"):
-        moebius_normalize(pos, r, problem.fixed)
+        moebius_normalize(pos, r, hub)
     monkeypatch.undo()
 
+    # a solve whose pattern the gauge cannot move raises the gauge's error
     def refuse(*args):
         raise SolveError("normalization pushed a disk past a hemisphere")
 
+    off = _off_gauge(ico)
     monkeypatch.setattr(pattern, "_transport_pattern", refuse)
-    with pytest.raises(SolveError) as exc:
-        solve_pattern(ico, seed=0, max_starts=2)
-    assert [a.reason for a in exc.value.attempts] == [no_step] * 2
+    monkeypatch.setattr(pattern, "_framed_pattern", lambda *args: (*off, "v0", 0, 0.0))
+    with pytest.raises(SolveError, match=no_step):
+        solve_pattern(ico)
 
 
 # -- vectorised checks against the loops they replaced ----------------------
@@ -850,14 +848,15 @@ def _brute_clearances(tri, pos, r):
 
 
 def _oracle_patterns(tri, hubs, rng):
-    """A Tutte start; for a realizable complex also the solved pattern and
-    variants of it that break one check each."""
-    problem = PatternProblem(tri, fixed_zero=hubs)
-    pos0 = tutte_sphere_init(tri, tri.vertices[0], rng)
-    yield pos0, initial_radii(problem, pos0)
+    """A Tutte start; for a realizable complex also the solve's pattern
+    before its gauge, the solved pattern and variants of it that break one
+    check each."""
+    fixed = np.isin(tri.vertices, hubs)
+    yield tutte_sphere_init(tri, tri.vertices[0], rng), np.where(fixed, 0.0, 0.3)
     if not (is_flag_no_square(tri) and ideal_allright_conditions(tri)):
         return
-    sol = solve_pattern(tri, fixed_zero=hubs, seed=0)
+    yield _framed_pattern(tri, hubs)[:2]
+    sol = solve_pattern(tri, fixed_zero=hubs)
     pos, r = sol.positions, sol.radii
     yield pos, r
     pairs = [(a, b) for a in range(len(r)) for b in range(a + 1, len(r))
@@ -867,9 +866,9 @@ def _oracle_patterns(tri, hubs, rng):
         grown = r.copy()                 # two non-adjacent disks overlap
         grown[i] = grown[j] = spherical_distance(pos[i], pos[j]) / 2 + 1e-3
         yield pos, grown
-    tiny = np.where(problem.fixed, 0.0, 1e-3)
+    tiny = np.where(fixed, 0.0, 1e-3)
     oriented = tri.oriented_faces()
-    u, v, w = (problem.index[x] for x in oriented[3])
+    u, v, w = (tri.vertices.index(x) for x in oriented[3])
     flat = pos.copy()                    # a degenerate face
     flat[w] = (pos[u] + pos[v]) / np.linalg.norm(pos[u] + pos[v])
     yield flat, tiny
@@ -877,12 +876,12 @@ def _oracle_patterns(tri, hubs, rng):
     mirrored[w] = -pos[w]
     yield mirrored, tiny
     early = {x for f in oriented[:4] for x in f}
-    late = [problem.index[x] for x in oriented[-1] if x not in early]
+    late = [tri.vertices.index(x) for x in oriented[-1] if x not in early]
     if late:                             # the degenerate face comes first
         flat[late[0]] = -pos[late[0]]
         yield flat, tiny
     zero = r.copy()                      # a non-hub radius left (0, pi/2)
-    zero[np.flatnonzero(~problem.fixed)[-1]] = 0.0
+    zero[np.flatnonzero(~fixed)[-1]] = 0.0
     yield pos, zero
     off = pos.copy()                     # a position off the unit sphere
     off[w] *= 1 + 1e-9
@@ -957,7 +956,7 @@ def test_pattern_validator_hub_tangency(load):
     capping = glue_caps(load("square_disk_a"))
     tri, hubs = capping.closed, capping.hub_vertices
     index = {v: k for k, v in enumerate(tri.vertices)}
-    sol = solve_pattern(tri, fixed_zero=hubs, seed=0)
+    sol = solve_pattern(tri, fixed_zero=hubs)
     ring = sorted(tri.adjacency[hubs[0]], key=index.get)
     a = ring[0]
     b = next(x for x in ring[1:] if not tri.has_edge(a, x))
