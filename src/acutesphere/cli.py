@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -294,6 +295,18 @@ def cmd_construct(args):
     return EXIT_OK
 
 
+def _tolerance(text):
+    """A residual bound for ``--tol``: a finite number above zero (NaN and
+    inf would let every residual pass)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, not {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser():
     # built once per process: parse_args never mutates it
@@ -316,7 +329,7 @@ def build_parser():
 
     p = sub.add_parser("realize", help="acute realization via circle patterns")
     common(p)
-    p.add_argument("--tol", type=float, default=1e-11)
+    p.add_argument("--tol", type=_tolerance, default=1e-11)
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("dual", help="hyperbolic duality solver")
@@ -330,7 +343,7 @@ def build_parser():
     p = sub.add_parser("invariants", help="alpha and beta invariants")
     common(p, writes_files=False)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-11)
+    p.add_argument("--tol", type=_tolerance, default=1e-11)
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("construct", help="emit cap/wheel/double/flip constructions")

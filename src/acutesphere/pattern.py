@@ -186,7 +186,6 @@ def moebius_normalize(pos: np.ndarray, radii: np.ndarray, fixed: np.ndarray):
 ANGLE_TOL = 1e-12          # max |angle-sum error| below which the Newton steps may stop
 NEWTON_MAX_STEPS = 100     # Newton steps of the angle-sum solve
 NEWTON_MAX_HALVINGS = 40   # halvings of one step above ANGLE_TOL before the solve gives up
-_J = np.array([-1, 1, 1], dtype=np.longdouble)  # R^{1,2}: <a, b> = a @ (J b), cross J (a x b)
 
 
 def _hyperbolic_corners(C, s, faces):
@@ -256,73 +255,117 @@ def _solve_radii(faces, var, target):
     return C, s, steps, err
 
 
-def _layout(faces, C, s, first):
-    """Centres on the hyperboloid H^2, in np.longdouble, of the vertices on
-    ``faces`` (oriented rows; other rows 0): face ``first``'s first vertex
-    at the origin (1, 0, 0), then over a breadth-first search of the faces,
-    each turned off the placed edge at the corner of the end nearer it."""
-    C, s = C.astype(np.longdouble), s.astype(np.longdouble)
-    c = np.zeros((len(C), 3), dtype=np.longdouble)
-
-    def put(p, q, r, turn):
-        # r from p, turned by the corner at p from q (turn 1: (p, q, r) cyclic)
-        v = c[q] + (c[p] @ (_J * c[q])) * c[p]
-        v /= np.sqrt(v @ (_J * v))
-        # cosh d_pr = C_p C_r; sinh d_pr (cos, sin) of the corner is
-        # (C_q C_r s_p, sqrt(Q)) / sinh d_pq (``_hyperbolic_corners``)
-        root_q = np.sqrt(s[p] * s[q] + s[p] * s[r] + s[q] * s[r] + 2 * s[p] * s[q] * s[r])
-        x = C[p] * C[r] * c[p] + (C[q] * C[r] * s[p] * v + turn * root_q * _J
-                                  * np.cross(c[p], v)) / np.sqrt(s[p] + s[q] + s[p] * s[q])
-        c[r] = x / np.sqrt(-(x @ (_J * x)))
-
+def _placements(faces, first, n):
+    """The order of ``_layout``, found without any geometry: a breadth-first
+    search of the faces from face ``first`` places each vertex from the
+    first face that reaches it, off that face's other two vertices (p, q),
+    with (p, q, r) in cyclic order.  Returns the rows (p, q, r), the first
+    face's third vertex first, grouped by generation: the first face's
+    first two vertices are generation 0, and r is one more than the later
+    of p and q."""
+    rows = faces.tolist()
     across = {}
-    for k, f in enumerate(faces.tolist()):
-        for i in range(3):
-            across.setdefault(frozenset((f[i], f[i - 1])), []).append(k)
-    x, y, z = faces[first]
-    c[x], c[y] = (1, 0, 0), (C[x] * C[y], np.sqrt(s[x] + s[y] + s[x] * s[y]), 0)
-    put(x, y, z, 1)
+    for k, (a, b, c) in enumerate(rows):
+        for e in ((a, b), (b, c), (c, a)):
+            across.setdefault(e if e[0] < e[1] else e[::-1], []).append(k)
+    gen = [-1] * n
+    x, y, z = rows[first]
+    gen[x] = gen[y] = 0
+    gen[z] = 1
+    steps = [(x, y, z)]
     seen, queue = {first}, deque([first])
     while queue:
-        f = faces[queue.popleft()].tolist()
+        f = rows[queue.popleft()]
         for k in range(3):
-            p, q = f[k - 2], f[k - 1]           # (p, q, f[k]) in cyclic order
-            if c[f[k], 0] == 0:
-                put(*((q, p, f[k], -1) if c[q, 0] < c[p, 0] else (p, q, f[k], 1)))
-            for g in across[frozenset((p, q))]:
+            p, q, r = f[k - 2], f[k - 1], f[k]
+            if gen[r] < 0:
+                gen[r] = 1 + max(gen[p], gen[q])
+                steps.append((p, q, r))
+            for g in across[(p, q) if p < q else (q, p)]:
                 if g not in seen:
                     seen.add(g)
                     queue.append(g)
+    steps = np.array(steps)
+    level = np.array(gen)[steps[:, 2]]
+    order = np.argsort(level, kind="stable")
+    return np.split(steps[order], np.flatnonzero(np.diff(level[order])) + 1)
+
+
+def _layout(faces, C, s, first):
+    """Centres on the hyperboloid H^2, in np.longdouble, of the vertices on
+    ``faces`` (oriented rows; other rows 0): face ``first``'s first vertex
+    at the origin (1, 0, 0), then in the order of ``_placements``, each
+    turned off the placed edge at the corner of the end nearer it.  One
+    array pass places a whole generation, with every product written out
+    by component in the order of the per-face placement, so the centres
+    are the same to the bit."""
+    C, s = C.astype(np.longdouble), s.astype(np.longdouble)
+    c = np.zeros((len(C), 3), dtype=np.longdouble)
+    x, y = faces[first, :2]
+    # c[y, 0] = C_x C_y >= 1 = c[x, 0], so the first face turns from x
+    c[x], c[y] = (1, 0, 0), (C[x] * C[y], np.sqrt(s[x] + s[y] + s[x] * s[y]), 0)
+    for p, q, r in (g.T for g in _placements(faces, first, len(C))):
+        # in R^{1,2}, <a, b> = -a0 b0 + a1 b1 + a2 b2 and the cross
+        # product is J (a x b), J = diag(-1, 1, 1); r is turned off the
+        # edge's end nearer the origin: from p by the corner at p, or from
+        # q by the same angle the other way
+        near = c[q, 0] < c[p, 0]
+        p, q = np.where(near, q, p), np.where(near, p, q)
+        (a0, a1, a2), (b0, b1, b2) = c[p].T, c[q].T
+        ab = -a0 * b0 + a1 * b1 + a2 * b2
+        v0, v1, v2 = b0 + ab * a0, b1 + ab * a1, b2 + ab * a2
+        norm = np.sqrt(-v0 * v0 + v1 * v1 + v2 * v2)
+        v0, v1, v2 = v0 / norm, v1 / norm, v2 / norm
+        # cosh d_pr = C_p C_r; sinh d_pr (cos, sin) of the corner is
+        # (C_q C_r s_p, sqrt(Q)) / sinh d_pq (``_hyperbolic_corners``)
+        sp, sq, sr = s[p], s[q], s[r]
+        root_q = np.sqrt(sp * sq + sp * sr + sq * sr + 2 * sp * sq * sr)
+        turn_root = np.where(near, -root_q, root_q)
+        cosh_pr, along = C[p] * C[r], C[q] * C[r] * sp
+        sinh_pq = np.sqrt(sp + sq + sp * sq)
+        x0 = cosh_pr * a0 + (along * v0 - turn_root * (a1 * v2 - a2 * v1)) / sinh_pq
+        x1 = cosh_pr * a1 + (along * v1 + turn_root * (a2 * v0 - a0 * v2)) / sinh_pq
+        x2 = cosh_pr * a2 + (along * v2 + turn_root * (a0 * v1 - a1 * v0)) / sinh_pq
+        norm = np.sqrt(-(-x0 * x0 + x1 * x1 + x2 * x2))
+        c[r] = np.column_stack([x0 / norm, x1 / norm, x2 / norm])
     return c
+
+
+def _next_to(mask, i, j):
+    """The vertices with a neighbour in ``mask``, over the edges (i, j)."""
+    out = np.zeros(len(mask), dtype=bool)
+    out[j[mask[i]]] = out[i[mask[j]]] = True
+    return out
 
 
 def _framed_pattern(tri: AbstractTriangulation, fixed_zero=()):
     """The pattern of ``solve_pattern`` before its gauge: positions, radii
     and hub mask (rows in ``tri.vertices`` order), the pole, the Newton
     steps and the final max |angle-sum error|.  Works on vertex ids."""
-    nv, nbrs = len(tri.vertices), tri._nbrs
+    nv = len(tri.vertices)
+    i, j = np.array(list(tri._edge_faces)).reshape(-1, 2).T
     hub = np.zeros(nv, dtype=bool)
     hub[[tri._id[v] for v in fixed_zero]] = True
-    allowed = [v for v in range(nv) if not hub[v] and not hub[nbrs[v]].any()]
-    if not allowed:
+    allowed = np.flatnonzero(~hub & ~_next_to(hub, i, j))
+    if not allowed.size:
         raise SolveError("no pole: every vertex is a hub or next to one")
-    pole = max(allowed, key=lambda v: (len(nbrs[v]), -v))
-    link, star, on_link = np.zeros(nv, bool), np.zeros(nv, bool), np.zeros(nv, int)
-    link[nbrs[pole]] = star[nbrs[pole] + [pole]] = True
-    for w in nbrs[pole]:
-        on_link[nbrs[w]] += 1
+    # the first vertex of maximum degree
+    pole = int(allowed[np.argmax(np.bincount(np.concatenate([i, j]))[allowed])])
+    link, star = np.zeros(nv, bool), np.zeros(nv, bool)
+    link[tri._nbrs[pole]] = star[tri._nbrs[pole] + [pole]] = True
+    on_link = np.bincount(np.concatenate([j[link[i]], i[link[j]]]), minlength=nv)
     free = ~star & ~hub
     if np.any(on_link[free] > 2):
         raise SolveError("a vertex has more than two neighbours in the pole's link")
-    faces = np.array([[tri._id[v] for v in f] for f in tri.oriented_faces()])
+    faces = np.array(tri._oriented_ids())
     faces = faces[~star[faces].any(axis=1)]
     var = np.where(free, np.cumsum(free) - 1, -1)
     target = np.array([2 * math.pi, math.pi, math.pi / 2])[on_link[free]]
     C, s, steps, err = _solve_radii(faces, var, target)
 
-    depth, frontier = np.where(star, 0, -1), np.flatnonzero(link)
-    while frontier.size:                        # breadth-first from the link
-        frontier = np.array(sorted({y for x in frontier for y in nbrs[x] if depth[y] < 0}), int)
+    depth, frontier = np.where(star, 0, -1), link
+    while frontier.any():                       # breadth-first from the link
+        frontier = _next_to(frontier, i, j) & (depth < 0)
         depth[frontier] = depth.max() + 1
     centres = _layout(faces, C, s, int(np.argmax(depth[faces].min(axis=1))))
     placed = centres[:, 0] > 0
@@ -333,15 +376,21 @@ def _framed_pattern(tri: AbstractTriangulation, fixed_zero=()):
     sinh = np.sqrt(s[free].astype(np.longdouble))[:, None]
     normals[free] = np.column_stack([centres[free], -C[free]]) / sinh
     normals[hub, :3], normals[hub, 3] = centres[hub], -1
-    middle = centres[placed].sum(axis=0)
-    for w in np.flatnonzero(link):
-        # the geodesic through the centres of the two ends of the path of
-        # w's link away from the pole
+    # each link vertex w: the geodesic through the centres of the two ends
+    # of the path of w's link away from the pole, J (a x b) / |a x b|,
+    # facing away from the centres' sum
+    ends = []
+    for w in np.flatnonzero(link).tolist():
         ring = tri._link_cycles[w]
         k = ring.index(pole)
-        geodesic = _J * np.cross(centres[ring[k - 2]], centres[ring[(k + 2) % len(ring)]])
-        geodesic /= np.sqrt(geodesic @ (_J * geodesic))
-        normals[w, :3] = -geodesic if middle @ (_J * geodesic) > 0 else geodesic
+        ends.append((ring[k - 2], ring[(k + 2) % len(ring)]))
+    (a0, a1, a2), (b0, b1, b2) = centres[np.array(ends)].transpose(1, 2, 0)
+    g0, g1, g2 = -(a1 * b2 - a2 * b1), a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    norm = np.sqrt(-g0 * g0 + g1 * g1 + g2 * g2)
+    g0, g1, g2 = g0 / norm, g1 / norm, g2 / norm
+    m0, m1, m2 = centres[placed].sum(axis=0)
+    facing = np.where(-m0 * g0 + m1 * g1 + m2 * g2 > 0, -1, 1)
+    normals[link, :3] = np.column_stack([g0, g1, g2]) * facing[:, None]
     normals[pole, 3] = 1
     total = normals.sum(axis=0)
     if not total[0] > np.sqrt(total[1:] @ total[1:]):

@@ -226,9 +226,7 @@ def _invariant_check(tri: AbstractTriangulation, hubs=()):
         in_ring[k, [tri._position[v] for v in ring]] = True
     slack = np.where((in_ring[:, i] & in_ring[:, j]).any(axis=0), -1e-9, 1e-9)
     hub = np.array([v in hubs for v in tri.vertices])
-    oriented = tri.oriented_faces()
-    index = {v: k for k, v in enumerate(tri.vertices)}
-    faces = np.array([[index[v] for v in f] for f in oriented])
+    faces = np.asarray(tri._position)[np.array(tri._oriented_ids())]
     corners = _corner_index_arrays(tri)
     boundary = tri.boundary_vertices()
     interior = np.array([v not in boundary for v in tri.vertices])
@@ -253,7 +251,7 @@ def _invariant_check(tri: AbstractTriangulation, hubs=()):
         flat = np.abs(det) < 1e-12
         bad = np.flatnonzero(flat | ((det > 0) != (det[0] > 0)))
         if bad.size:
-            return (f"degenerate face {oriented[bad[0]]}" if flat[bad[0]]
+            return (f"degenerate face {tri.oriented_faces()[bad[0]]}" if flat[bad[0]]
                     else "solution is not consistently oriented")
         if r is not None:
             bad = np.flatnonzero(~((hub & (r == 0.0)) | ((0.0 < r) & (r < math.pi / 2))))

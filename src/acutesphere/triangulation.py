@@ -267,7 +267,13 @@ class AbstractTriangulation:
         1 - b, so the propagation reaches every face and never contradicts
         itself.  Computed once per triangulation.
         """
-        return _cached(self, "oriented_faces", self._orient)
+        names = self._names
+        return _cached(self, "oriented_faces", lambda: tuple([
+            (names[a], names[b], names[c]) for a, b, c in self._oriented_ids()]))
+
+    def _oriented_ids(self) -> tuple:
+        """``oriented_faces`` as id triples, computed once per triangulation."""
+        return _cached(self, "oriented_ids", self._orient)
 
     def _orient(self):
         faces, edge_faces, sums = self._faces, self._edge_faces, self._face_sums
@@ -284,8 +290,7 @@ class AbstractTriangulation:
                     if orient[g] is None:
                         orient[g] = (x, y, sums[g] - x - y)
                         stack.append(g)
-        names = self._names
-        return tuple([(names[a], names[b], names[c]) for a, b, c in orient])
+        return tuple(orient)
 
     def __eq__(self, other):
         return (isinstance(other, AbstractTriangulation)

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -431,6 +432,44 @@ def reference_transport_pattern(B, pos, radii, fixed):
             new_r[i] = math.atan2(1.0, float(n0))
     new_pos /= np.linalg.norm(new_pos, axis=1)[:, None]
     return new_pos, new_r
+
+
+def reference_layout(faces, C, s, first):
+    """The per-face centre placement that ``pattern._layout`` batched by
+    generation, kept as its oracle: one ``put`` of scalar np.longdouble
+    products and one ``np.cross`` per centre, in breadth-first face order."""
+    _J = np.array([-1, 1, 1], dtype=np.longdouble)  # <a, b> = a @ (J b), cross J (a x b)
+    C, s = C.astype(np.longdouble), s.astype(np.longdouble)
+    c = np.zeros((len(C), 3), dtype=np.longdouble)
+
+    def put(p, q, r, turn):
+        # r from p, turned by the corner at p from q (turn 1: (p, q, r) cyclic)
+        v = c[q] + (c[p] @ (_J * c[q])) * c[p]
+        v /= np.sqrt(v @ (_J * v))
+        root_q = np.sqrt(s[p] * s[q] + s[p] * s[r] + s[q] * s[r] + 2 * s[p] * s[q] * s[r])
+        x = C[p] * C[r] * c[p] + (C[q] * C[r] * s[p] * v + turn * root_q * _J
+                                  * np.cross(c[p], v)) / np.sqrt(s[p] + s[q] + s[p] * s[q])
+        c[r] = x / np.sqrt(-(x @ (_J * x)))
+
+    across = {}
+    for k, f in enumerate(faces.tolist()):
+        for i in range(3):
+            across.setdefault(frozenset((f[i], f[i - 1])), []).append(k)
+    x, y, z = faces[first]
+    c[x], c[y] = (1, 0, 0), (C[x] * C[y], np.sqrt(s[x] + s[y] + s[x] * s[y]), 0)
+    put(x, y, z, 1)
+    seen, queue = {first}, collections.deque([first])
+    while queue:
+        f = faces[queue.popleft()].tolist()
+        for k in range(3):
+            p, q = f[k - 2], f[k - 1]           # (p, q, f[k]) in cyclic order
+            if c[f[k], 0] == 0:
+                put(*((q, p, f[k], -1) if c[q, 0] < c[p, 0] else (p, q, f[k], 1)))
+            for g in across[frozenset((p, q))]:
+                if g not in seen:
+                    seen.add(g)
+                    queue.append(g)
+    return c
 
 
 def reference_moebius_normalize(pos, radii, fixed):

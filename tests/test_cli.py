@@ -299,6 +299,18 @@ def test_removed_options_are_rejected(capsys):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["realize", "invariants"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_tol_must_be_finite_and_positive(capsys, command, tol):
+    # NaN and inf would pass every residual, and a bound at or below zero
+    # would reject every pattern as if the pattern were at fault
+    with pytest.raises(SystemExit) as exc:
+        main([command, fixture_file("icosahedron"), "--tol", tol])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --tol: must be a finite number above 0, not '{tol}'" in err
+
+
 def test_realize_planar_euclidean_export(tmp_path, capsys):
     code, report, _ = run(capsys, [
         "realize", fixture_file("maehara_cap_5"), "--out", str(tmp_path)])

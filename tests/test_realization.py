@@ -7,7 +7,7 @@ import pytest
 
 from acutesphere import fixtures, pattern, realization
 from acutesphere.errors import SolveError, ValidationError
-from acutesphere.exports import realization_svg
+from acutesphere.exports import euclidean_svg, graph_svg, realization_svg
 from acutesphere.klein import boost_to
 from acutesphere.pattern import (ANGLE_TOL, _angle_sums, _framed_pattern,
                                  _hyperbolic_corners, _transport_pattern, moebius_normalize,
@@ -26,7 +26,7 @@ from acutesphere.triangulation import (AbstractTriangulation, EdgeLabeling, doub
 
 from conftest import (corner_angle, euclidean_corner_angles, euclidean_orthogonality_residual,
                       euclidean_perpendicular_ratio_deviation, lobell, reference_euclidean_circle,
-                      reference_moebius_normalize, reference_smoothed_max_angle,
+                      reference_layout, reference_moebius_normalize, reference_smoothed_max_angle,
                       reference_transport_pattern, stereographic)
 
 
@@ -190,6 +190,39 @@ def test_realization_svg_draws_every_clear_circle(cap5_result):
         near = GeodesicRealization(real.parent, real.positions, grown)
         assert _expected_svg_circles(near)[0] == expected - 1
         assert realization_svg(near).count('stroke="#3377cc"') == expected - 1
+
+
+def _drawn_edges(svg, dot):
+    """The <line>s of ``svg`` as pairs of ends, and the centres of its dots
+    (``<circle>``s with r="dot")."""
+    number = r"(-?[\d.]+)"
+    dots = re.findall(rf'<circle cx="{number}" cy="{number}" r="{dot}"', svg)
+    lines = re.findall(rf'<line x1="{number}" y1="{number}" x2="{number}" y2="{number}"', svg)
+    return [((x1, y1), (x2, y2)) for x1, y1, x2, y2 in lines], dots
+
+
+def _assert_lines_join_dots(svg, dot, tri, dot_names):
+    """One line per edge of ``tri``, each between the dots of its two ends;
+    the dots are drawn for ``dot_names`` in that order."""
+    lines, dots = _drawn_edges(svg, dot)
+    assert len(dots) == len(dot_names) == len(tri.vertices)
+    at = dict(zip(dot_names, dots))
+    assert len(lines) == len(tri.edges)
+    assert {frozenset(ends) for ends in lines} == {
+        frozenset(at[v] for v in e) for e in tri.edges}
+
+
+def test_svg_lines_join_the_dots(load, cap5_result, ico_result):
+    for real in (ico_result.realization, cap5_result.realization):
+        svg = realization_svg(real)
+        _assert_lines_join_dots(svg, "2.5", real.parent, re.findall(r'font-size="9">([^<]*)<', svg))
+    eu = project_euclidean(cap5_result)
+    _assert_lines_join_dots(euclidean_svg(eu), "2", eu.parent, eu.parent.vertices)
+    for name in ("octahedron", "square_disk_a", "maehara_cap_5"):
+        tri = load(name)
+        svg = graph_svg(tri, tri.faces[0])
+        _assert_lines_join_dots(svg, "3", tri, re.findall(r'font-size="9">([^<]*)<', svg))
+        assert svg.count('stroke="red"') == 3
 
 
 def test_square_wheel_refused(load):
@@ -624,6 +657,31 @@ def test_solve_pattern_records_its_solve(load, monkeypatch):
                         lambda *args: lambda *a: ("rejected", None, None))
     with pytest.raises(SolveError, match="fails a realization check: rejected"):
         realize_sphere(ico)
+
+
+def test_layout_matches_per_face_placement(load, monkeypatch):
+    # the generation passes against the per-face placement they batch, to
+    # the bit, on the faces, radii and first face that the solve hands the
+    # layout: closed fixtures, capped planar fixtures (hubs are points),
+    # doubles, and Loebell spheres with two vertices of degree n
+    layout, calls = pattern._layout, []
+
+    def checked(*args):
+        centres = layout(*args)
+        calls.append(np.array_equal(centres, reference_layout(*args)))
+        return centres
+
+    monkeypatch.setattr(pattern, "_layout", checked)
+    cases = [(load(name), ()) for name in ("icosahedron", "sphere_28", "sphere_34")]
+    for name in ("square_disk_a", "square_disk_b", "maehara_cap_5", "maehara_cap_8"):
+        capped = glue_caps(load(name))
+        cases.append((capped.closed, capped.hub_vertices))
+    assert len(cases[3][1]) > 0 and len(cases[4][1]) > 0
+    cases += [(double(maehara_cap(n)), ()) for n in range(5, 41)]
+    cases += [(lobell(n), ()) for n in (100, 140, 200)]
+    for tri, hubs in cases:
+        _framed_pattern(tri, hubs)
+    assert calls == [True] * len(cases)
 
 
 def test_hyperbolic_corners_match_law_of_cosines():
