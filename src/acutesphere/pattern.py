@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError, SolveError
+from .errors import GeometryError, SolveError, ValidationError
 from .klein import boost_to
 from .triangulation import AbstractTriangulation
 
@@ -425,8 +425,12 @@ def solve_pattern(tri: AbstractTriangulation, fixed_zero=(), tol: float = 1e-11)
     (c, -1), a link geodesic to (n, 0), n facing away from the centres, and
     the pole to (0, 0, 0, 1); a boost takes the normals' sum to the time
     axis, and ``moebius_normalize`` fixes the gauge.  Raises SolveError when
-    a step fails or the edge residual is above ``tol``.
+    a step fails or the edge residual is above ``tol``, and ValidationError
+    when ``tol`` is not a finite number >= 0 (NaN would let every residual
+    pass).
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValidationError(f"tol must be a finite number >= 0, not {tol!r}")
     pos, r, hub, pole, steps, err = _framed_pattern(tri, fixed_zero)
     pos, r, norm_res, norm_steps = moebius_normalize(pos, r, hub)
     resid = float(np.max(np.abs(_edge_residuals(pos, r, *_edge_index_arrays(tri)))))

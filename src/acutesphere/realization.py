@@ -59,7 +59,7 @@ class GeodesicRealization:
         return [(f, v, ang) for f, three in zip(self.parent.faces, angles.reshape(-1, 3).tolist())
                 for v, ang in zip(f, three)]
 
-    def validate(self, angle_tol=1e-8, area_tol=1e-6):
+    def validate(self):
         """Check the realization invariants; raises ValidationError.
 
         Unit positions, disjoint non-adjacent disks and radii in (0, pi/2)
@@ -71,8 +71,7 @@ class GeodesicRealization:
         if self.radii is not None:
             r = np.array([self.radii[v] for v in self.parent.vertices])
             hubs = [v for v, x in self.radii.items() if x == 0.0 and self.parent.degree(v) == 4]
-        message = _invariant_check(self.parent, hubs)(
-            self.position_array(), r, angle_tol, area_tol)[0]
+        message = _invariant_check(self.parent, hubs)(self.position_array(), r)[0]
         if message:
             raise ValidationError(message)
         return self
@@ -422,12 +421,12 @@ def _euclidean_circles(centers, rho, viewpoint, frame):
     return np.column_stack([m @ e1, m @ e2]) / denom[:, None], np.sin(rho) / np.abs(denom)
 
 
-def project_euclidean(result: RealizationResult,
-                      viewpoint_vertex: Optional[str] = None) -> EuclideanRealization:
+def project_euclidean(result: RealizationResult) -> EuclideanRealization:
     """Project a capped planar realization to an acute Euclidean one.
 
     Requires at least one non-square boundary component (equivalently, a
-    Maehara cap whose center disk can host the viewpoint).  The projected
+    Maehara cap whose center disk can host the viewpoint); the viewpoint is
+    the centre of the first cap's centre disk.  The projected
     pattern keeps exactly the input triangulation's vertices; the output is
     rescaled so that the mean squared radius is 1.
     """
@@ -437,19 +436,15 @@ def project_euclidean(result: RealizationResult,
         raise CombinatorialRefusal(
             "all boundary components are squares; no Euclidean acute realization exists",
             None)
-    if viewpoint_vertex is None:
-        viewpoint_vertex = result.capping.cap_centers[0]
-    elif viewpoint_vertex not in result.capping.cap_centers:
-        raise ValidationError(f"viewpoint {viewpoint_vertex!r} is not a cap center")
-
+    viewpoint = result.capping.cap_centers[0]
     closed = result.closed_realization
     original = result.realization.parent
-    nu = closed.positions[viewpoint_vertex]
+    nu = closed.positions[viewpoint]
     pos = np.array([closed.positions[v] for v in original.vertices])
     rho = np.array([closed.radii[v] for v in original.vertices])
     # viewpoint disk must avoid every kept disk
     near = _pair_distances(np.broadcast_to(nu, pos.shape), pos) <= (
-        closed.radii[viewpoint_vertex] + rho + 1e-9)
+        closed.radii[viewpoint] + rho + 1e-9)
     if near.any():
         raise ValidationError(
             f"viewpoint disk intersects the disk of {original.vertices[np.argmax(near)]}")

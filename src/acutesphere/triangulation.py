@@ -7,7 +7,7 @@ immutable afterwards, so every operation in this module is a pure function.
 
 Inside, a vertex is an integer id: the rank of its name among the vertex
 names, so that id order is name order.  Validation, enumeration and the
-region search run on ids and come out in the order they would over the
+two-sided search run on ids and come out in the order they would over the
 names; names come back only in what the functions return and in error
 messages.  The name-keyed attributes ``edges``, ``face_set``, ``edge_faces``,
 ``adjacency`` and ``boundary_edges`` are views, built on first access.
@@ -16,7 +16,6 @@ messages.  The name-keyed attributes ``edges``, ``face_set``, ``edge_faces``,
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -37,8 +36,8 @@ class CycleWitness:
     ``kind`` is one of ``empty-3-cycle``, ``chordless-4-cycle``,
     ``separating-3-cycle``, ``separating-4-cycle`` (plus ``four-clique`` for
     the degenerate tetrahedron case).  For the separating kinds,
-    ``components`` holds the interior vertex sets of the regions the cycle
-    cuts the surface into; each listed component is nonempty.
+    ``components`` holds the interior vertex sets of the cycle's two sides,
+    on the sphere that caps each boundary cycle; both are nonempty.
     """
 
     cycle: tuple
@@ -545,84 +544,67 @@ def _has_chord(tri: AbstractTriangulation, cycle4) -> bool:
     return _has_edge(tri, u, v) or _has_edge(tri, x, y)
 
 
-def _face_graph(tri: AbstractTriangulation):
-    """Face adjacency over face positions: each edge's index in
-    ``tri._edge_faces``, and for each face the (edge index, neighbouring
-    face) pairs across its interior edges."""
-    edge_index = {}
-    across = [[] for _ in tri._faces]
+def _cell_graph(tri: AbstractTriangulation):
+    """The cells of the capped sphere: the faces, by position, then one cap
+    cell per boundary cycle, which closes that hole.  Returns each edge's
+    (index in ``tri._edge_faces``, its two cells), and for each cell the
+    (edge index, neighbouring cell) pairs across its edges."""
+    nf = len(tri._faces)
+    caps = {}
+    for c, cycle in enumerate(tri.boundary_cycles):
+        ids = [tri._id[v] for v in cycle]
+        for u, v in zip(ids, ids[1:] + ids[:1]):
+            caps[(u, v) if u < v else (v, u)] = nf + c
+    edges = {}
+    across = [[] for _ in range(nf + len(tri.boundary_cycles))]
     for k, (e, fs) in enumerate(tri._edge_faces.items()):
-        edge_index[e] = k
-        if len(fs) == 2:
-            f, g = fs
-            across[f].append((k, g))
-            across[g].append((k, f))
-    return edge_index, tuple(map(tuple, across))
+        f, g = fs if len(fs) == 2 else (fs[0], caps[e])
+        edges[e] = (k, f, g)
+        across[f].append((k, g))
+        across[g].append((k, f))
+    return edges, tuple(map(tuple, across))
 
 
 def _region_interiors(tri: AbstractTriangulation, cycle):
-    """Interior-id sets of the regions the edges of the id cycle cut the
-    faces into, nonempty ones only, each an unordered tuple, in no fixed
-    order.
+    """Interior-id sets of the two sides of the id cycle, nonempty ones
+    only, each an unordered tuple, in no fixed order.
 
-    One search starts from each face on a cycle edge.  The searches grow one
-    face each in turn; two that meet merge (the faces of one are relabelled
-    to the other), and one that runs out of faces has found a whole region.
-    Every region holds a face on a cycle edge, so once a single search is
-    left it is the last region: its interior is every vertex off the cycle
-    outside the finished regions.  The search visits about as many faces as
-    the smaller regions hold, not the whole surface; the last interior is
-    one set difference over the vertices.
+    With a cap cell on each boundary cycle the surface is a sphere, and a
+    simple cycle on a sphere has exactly two sides.  Two searches start
+    from the two cells across the cycle's first edge and grow one cell each
+    in turn; the first to run out holds one whole side, and the other side's
+    interior is every vertex off the cycle that the first does not hold.
+    The search visits about twice as many cells as the smaller side holds,
+    not the whole surface.  The cycle must be simple: a repeated vertex
+    would let the two searches meet.
     """
-    edge_index, across = _cached(tri, "face_graph", lambda: _face_graph(tri))
+    edges, across = _cached(tri, "cell_graph", lambda: _cell_graph(tri))
     n = len(cycle)
-    cut = set()
-    seeds = set()
+    ends = []
     for i in range(n):
         u, v = cycle[i], cycle[(i + 1) % n]
         e = (u, v) if u < v else (v, u)
-        if e not in edge_index:
+        if e not in edges:
             raise ValidationError(f"not a cycle: missing edge {list(_named(tri, e))}")
-        cut.add(edge_index[e])
-        seeds.update(tri._edge_faces[e])
-    owner = {f: s for s, f in enumerate(seeds)}
-    frontier = [[f] for f in seeds]          # None once merged or finished
-    members = [[f] for f in seeds]
-    finished = []
-    turns = deque(range(len(seeds)))
-    live = len(seeds)
-    while live > 1:
-        s = turns.popleft()
-        stack = frontier[s]
-        if stack is None:
-            continue
-        if not stack:
-            frontier[s] = None
-            finished.append(s)
-            live -= 1
-            continue
-        turns.append(s)
-        for k, g in across[stack.pop()]:
-            if k in cut:
-                continue
-            t = owner.get(g)
-            if t is None:
-                owner[g] = s
-                stack.append(g)
-                members[s].append(g)
-            elif t != s:                     # the searches met: merge t into s
-                for f in members[t]:
-                    owner[f] = s
-                stack.extend(frontier[t])
-                members[s].extend(members[t])
-                frontier[t] = None
-                live -= 1
+        ends.append(edges[e])
+    cut = {k for k, _, _ in ends}
+    _, a, b = ends[0]
+    side = {a: 0, b: 1}
+    stacks = ([a], [b])
+    s = 0
+    while stacks[s]:
+        for k, g in across[stacks[s].pop()]:
+            if k not in cut and g not in side:
+                side[g] = s
+                stacks[s].append(g)
+        s = 1 - s
     on_cycle = set(cycle)
     faces = tri._faces
-    interiors = [{v for f in members[s] for v in faces[f]} - on_cycle for s in finished]
+    nf = len(faces)
+    interior = {v for f, t in side.items() if t == s and f < nf for v in faces[f]} - on_cycle
     everyone = _cached(tri, "ids", lambda: frozenset(range(len(tri._names))))
-    interiors.append(everyone.difference(on_cycle, *interiors))
-    return tuple(tuple(interior) for interior in interiors if interior)
+    rest = everyone.difference(on_cycle, interior)
+    return tuple(tuple(side) for side in (interior, rest) if side)
 
 
 def _regions(tri: AbstractTriangulation, cycle):
@@ -631,7 +613,7 @@ def _regions(tri: AbstractTriangulation, cycle):
 
 
 def _components(tri: AbstractTriangulation, cycle):
-    """The regions of the id cycle as ``separating_interiors`` lists them."""
+    """The sides of the id cycle as ``separating_interiors`` lists them."""
     return tuple(_named(tri, interior)
                  for interior in sorted(tuple(sorted(r)) for r in _regions(tri, cycle)))
 
@@ -654,34 +636,25 @@ def has_chordless_square(tri: AbstractTriangulation) -> Optional[CycleWitness]:
 
 
 def separating_interiors(tri: AbstractTriangulation, cycle):
-    """Interior-vertex sets of the regions cut out by a cycle (removing its
-    edges from the face-adjacency graph), nonempty ones only, each a sorted
-    tuple, in sorted order.  The cycle separates exactly when two or more
-    regions contain a vertex not on the cycle.  Each cycle is searched once
-    per triangulation; later calls sort the stored regions."""
+    """Interior-vertex sets of the two sides of a simple cycle on the
+    capped sphere (one cap cell closing each boundary cycle), nonempty ones
+    only, each a sorted tuple, in sorted order.  The cycle separates exactly
+    when both sides contain a vertex not on it.  Each cycle is searched once
+    per triangulation; later calls sort the stored sides."""
     ids = tuple(tri._id.get(v) for v in cycle)
     if None in ids:
         missing = next(v for v in cycle if v not in tri._id)
         raise ValidationError(f"not a cycle: unknown vertex {missing!r}")
+    if len(ids) < 3 or len(set(ids)) != len(ids):
+        raise ValidationError(f"not a cycle: {list(cycle)} needs three or more "
+                              "distinct vertices")
     return _components(tri, ids)
 
 
-def _bounds_faces(tri: AbstractTriangulation, cycle, boundary) -> bool:
-    """True when at most one vertex of the id cycle is a ``boundary`` id and
-    the cycle is a face or a 4-cycle whose chord splits it into two faces.
-
-    Such a cycle cannot separate, so it needs no region search.  Its own
-    faces hold no vertex off the cycle.  Every other face reaches, without
-    crossing a cycle edge, the face across some cycle edge (the surface is
-    face-connected).  At each cycle vertex off the boundary, the faces
-    around it outside the cycle's own form one fan, which joins the faces
-    across its two cycle edges; with at most one boundary vertex on the
-    cycle, these fans join the faces across all cycle edges, so the rest is
-    one region.  At two boundary vertices the rest may be pinched into
-    several regions, so those cycles get the search.
-    """
-    if len(boundary.intersection(cycle)) > 1:
-        return False
+def _bounds_faces(tri: AbstractTriangulation, cycle) -> bool:
+    """True when the id cycle is a face or a 4-cycle whose chord splits it
+    into two faces.  Those faces are one side of it, with no vertex off the
+    cycle, so it cannot separate and needs no search."""
     if len(cycle) == 3:
         return _is_face(tri, *cycle)
     u, x, v, y = cycle
@@ -689,20 +662,18 @@ def _bounds_faces(tri: AbstractTriangulation, cycle, boundary) -> bool:
             or (_is_face(tri, x, u, y) and _is_face(tri, x, v, y)))
 
 
-def _separates(tri: AbstractTriangulation, cycle, boundary) -> bool:
-    return not _bounds_faces(tri, cycle, boundary) and len(_regions(tri, cycle)) >= 2
+def _separates(tri: AbstractTriangulation, cycle) -> bool:
+    return not _bounds_faces(tri, cycle) and len(_regions(tri, cycle)) >= 2
 
 
 def separating_cycles(tri: AbstractTriangulation):
-    """All 3- and 4-cycles that cut the surface into two or more regions each
-    containing at least one vertex off the cycle."""
-    boundary = tri._boundary
+    """All 3- and 4-cycles with a vertex off the cycle on both of its sides."""
     found = [CycleWitness(cycle=_named(tri, t), kind="separating-3-cycle",
                           components=_components(tri, t))
-             for t in _triangle_ids(tri) if _separates(tri, t, boundary)]
+             for t in _triangle_ids(tri) if _separates(tri, t)]
     return found + [CycleWitness(cycle=_named(tri, ids), kind="separating-4-cycle",
                                  components=_components(tri, ids))
-                    for ids in _four_cycle_ids(tri) if _separates(tri, ids, boundary)]
+                    for ids in _four_cycle_ids(tri) if _separates(tri, ids)]
 
 
 def is_flag_no_square(tri: AbstractTriangulation) -> bool:
@@ -714,10 +685,10 @@ def is_flag_no_square(tri: AbstractTriangulation) -> bool:
 
 
 def is_flag_no_separating_square(tri: AbstractTriangulation) -> bool:
-    """Flag and no separating 4-cycle (closed or planar input)."""
-    boundary = tri._boundary
-    return is_flag(tri) and not any(_separates(tri, ids, boundary)
-                                    for ids in _four_cycle_ids(tri))
+    """Flag and no separating 4-cycle (closed or planar input).  In a flag
+    triangulation a chord splits its 4-cycle into two faces, so only the
+    chordless 4-cycles can separate: this is ``first_obstruction`` passing."""
+    return first_obstruction(tri) is None
 
 
 def low_degree_interior_vertices(tri: AbstractTriangulation):
@@ -737,8 +708,12 @@ def first_obstruction(tri: AbstractTriangulation) -> Optional[CycleWitness]:
     """A witness explaining why a triangulation fails flag no-square (closed)
     or flag-no-separating-square (planar), or None if it passes.
 
-    Degenerate case: a 4-clique with no empty 3-cycle occurs only for the
-    boundary of the tetrahedron; it is reported with kind ``four-clique``.
+    On a closed sphere every chordless 4-cycle of a triangulation with no
+    empty 3-cycle separates: a side with no vertex off the cycle would be
+    faces on its four vertices, which needs a chord.  So one scan decides
+    both tests.  Degenerate case: a 4-clique with no empty 3-cycle occurs
+    only for the boundary of the tetrahedron; it is reported with kind
+    ``four-clique``.
     """
     empty = _empty_triangle_ids(tri)
     if empty:
@@ -748,13 +723,9 @@ def first_obstruction(tri: AbstractTriangulation) -> Optional[CycleWitness]:
                                 components=_components(tri, t))
         return CycleWitness(cycle=_named(tri, t), kind="empty-3-cycle")
     for ids in _four_cycle_ids(tri):
-        if _has_chord(tri, ids):
-            continue
-        if len(_regions(tri, ids)) >= 2:
+        if not _has_chord(tri, ids) and len(_regions(tri, ids)) >= 2:
             return CycleWitness(cycle=_named(tri, ids), kind="separating-4-cycle",
                                 components=_components(tri, ids))
-        if tri.is_closed:
-            return CycleWitness(cycle=_named(tri, ids), kind="chordless-4-cycle")
     cliques = _four_clique_ids(tri)
     if cliques:
         return CycleWitness(cycle=_named(tri, cliques[0]), kind="four-clique")
@@ -769,13 +740,10 @@ def acute_obstruction(tri: AbstractTriangulation) -> Optional[tuple]:
     four.  The witness is ``first_obstruction``'s, or None for a low-degree
     vertex.
     """
-    if tri.is_closed:
-        if is_flag_no_square(tri):
-            return None
-        return "not flag no-square; no acute realization exists", first_obstruction(tri)
-    if not is_flag_no_separating_square(tri):
-        return ("not flag-no-separating-square; no acute realization exists",
-                first_obstruction(tri))
+    witness = first_obstruction(tri)
+    if witness is not None:
+        test = "flag no-square" if tri.is_closed else "flag-no-separating-square"
+        return f"not {test}; no acute realization exists", witness
     low = low_degree_interior_vertices(tri)
     if low:
         return (f"interior vertex {low[0]!r} has degree {tri.degree(low[0])}; "

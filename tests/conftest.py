@@ -11,7 +11,7 @@ from acutesphere.errors import (GeometryError, InternalInconsistency, SolveError
 from acutesphere.klein import CUBE_EDGES, SlantedCubeModel, boost_to
 from acutesphere.spherical import (IDENTITY_MAP, clamped_acos, from_angles, from_sides,
                                    place_triangle)
-from acutesphere.triangulation import diagonal_flip
+from acutesphere.triangulation import AbstractTriangulation, diagonal_flip
 
 
 @pytest.fixture(scope="session")
@@ -41,7 +41,6 @@ def lobell(n):
     """The bicapped n-gonal antiprism, dual of the Loebell polyhedron L(n):
     poles N and S over rings a_i and b_i, 2n + 2 vertices.  n = 5 is the
     icosahedron; every n >= 5 gives a flag no-square sphere."""
-    from acutesphere.triangulation import AbstractTriangulation
     a, b = [f"a{i}" for i in range(n)], [f"b{i}" for i in range(n)]
     faces = []
     for i in range(n):
@@ -63,6 +62,35 @@ def random_flips(tri, rng, count, keep=None):
         if keep is None or keep(flipped):
             tri = flipped
     return tri
+
+
+def remove_stars(tri, gone):
+    """``tri`` without the vertices ``gone`` and every face on them."""
+    return AbstractTriangulation([v for v in tri.vertices if v not in gone],
+                                 [f for f in tri.faces if not set(gone) & set(f)])
+
+
+def star_punctures(tri):
+    """``tri`` minus the star of one vertex, or of two non-adjacent ones,
+    for every such choice the validator accepts (it refuses, e.g., holes
+    that meet at a vertex or leave a vertex with no face)."""
+    for k in (1, 2):
+        for gone in itertools.combinations(tri.vertices, k):
+            if k == 2 and tri.has_edge(*gone):
+                continue
+            try:
+                yield remove_stars(tri, gone)
+            except ValidationError:
+                pass
+
+
+def triangle_strip(n):
+    """The strip of 2n - 2 faces (u_i, w_i, u_i+1), (u_i+1, w_i, w_i+1) over
+    2n vertices, every one of them on its boundary cycle."""
+    u, w = [f"u{i}" for i in range(n)], [f"w{i}" for i in range(n)]
+    faces = [f for i in range(n - 1) for f in ((u[i], w[i], u[i + 1]),
+                                               (u[i + 1], w[i], w[i + 1]))]
+    return AbstractTriangulation(u + w, faces)
 
 
 def reference_tables(vertices, faces):
@@ -144,21 +172,26 @@ def reference_link_cycle(tri, v):
 
 
 def cycle_sides(tri, cycle):
-    """Flood-fill oracle for the region search: split the faces along an
-    embedded cycle.
+    """Flood-fill oracle for the two-sided search: split the faces along an
+    embedded cycle, then join the regions that meet a common boundary cycle.
 
     Removing the cycle's edges disconnects the dual (face-adjacency) graph
-    into regions; for a cycle through interior vertices of a sphere there
-    are exactly two, at boundary vertices there may be more.  Returns a list
-    of (faces, interior_vertices) pairs, in no particular order.
+    into regions; at boundary vertices there may be more than two.  A hole
+    joins every region holding one of its boundary edges off the cycle, as
+    the cap closing it would, which leaves the cycle's two sides on the
+    capped sphere.  A side that is a lone cap holds no face and is left
+    out.  Returns a list of (faces, interior_vertices) pairs, in no
+    particular order.
     """
     n = len(cycle)
     cut = {frozenset((cycle[i], cycle[(i + 1) % n])) for i in range(n)}
     for e in cut:
         if e not in tri.edges:
             raise ValidationError(f"not a cycle: missing edge {sorted(e)}")
+    hole = {frozenset(e): i for i, b in enumerate(tri.boundary_cycles)
+            for e in zip(b, b[1:] + b[:1])}
     unseen = set(tri.face_set)
-    sides = []
+    merged = []                              # (faces, holes) per joined region
     while unseen:
         f0 = next(iter(unseen))
         region = {f0}
@@ -174,9 +207,15 @@ def cycle_sides(tri, cycle):
                         unseen.discard(g)
                         region.add(g)
                         stack.append(g)
-        interior = sorted({v for f in region for v in f} - set(cycle))
-        sides.append((region, tuple(interior)))
-    return sides
+        holes = {hole[e] for f in region for e in map(frozenset, itertools.combinations(
+            tuple(f), 2)) if e in hole and e not in cut}
+        for other in [m for m in merged if m[1] & holes]:
+            merged.remove(other)
+            region |= other[0]
+            holes |= other[1]
+        merged.append((region, holes))
+    return [(region, tuple(sorted({v for f in region for v in f} - set(cycle))))
+            for region, _ in merged]
 
 
 def corner_angle(P, Q, R_) -> float:

@@ -15,7 +15,7 @@ from acutesphere.cli import main
 from acutesphere.triangulation import (AbstractTriangulation, double,
                                        is_flag_no_separating_square, is_flag_no_square,
                                        maehara_cap, serialize)
-from conftest import random_flips
+from conftest import random_flips, remove_stars, triangle_strip
 
 
 def fixture_file(name):
@@ -159,8 +159,8 @@ def test_check_enumerates_cycles_once(capsys, monkeypatch):
 
 def test_check_planar_verdict_matches_predicate(tmp_path, capsys):
     # the planar verdict is read off the separating-cycle list; it must agree
-    # with the standalone predicate, also on a flag disk whose chorded
-    # 4-cycles separate at its boundary vertices
+    # with the standalone predicate, also on a flag disk whose chordless
+    # 4-cycles separate through its boundary vertices
     disk = AbstractTriangulation(
         ["x", "u", "v", "y", "a", "b"],
         [("x", "u", "v"), ("u", "y", "v"), ("x", "u", "a"),
@@ -177,6 +177,23 @@ def test_check_planar_verdict_matches_predicate(tmp_path, capsys):
         verdicts[name] = report["verdicts"]["flag_no_separating_square"]
         assert verdicts[name] == is_flag_no_separating_square(tri), name
     assert verdicts["disk"] is False and verdicts["square_disk_a"] is True
+
+
+def test_planar_faces_through_two_boundary_vertices_do_not_separate(tmp_path, capsys):
+    # the icosahedron minus the stars of v0 and a vertex two steps away, and
+    # the 12-vertex strip: their faces and chorded squares through two
+    # boundary vertices do not separate, so check accepts and realize delivers
+    ico = fixtures.load("icosahedron")
+    inputs = {f"ico-v0-{v}": remove_stars(ico, ("v0", v))
+              for v in ("v3", "v4", "v8", "v10", "v11")}
+    inputs["strip"] = triangle_strip(6)
+    for name, tri in inputs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize(tri))
+        code, report, _ = run(capsys, ["check", str(path)])
+        assert code == 0 and report["verdicts"]["flag_no_separating_square"], name
+        code, report, _ = run(capsys, ["realize", str(path)])
+        assert code == 0 and report["verdicts"]["acute"], name
 
 
 def test_check_malformed_file(tmp_path, capsys):

@@ -20,14 +20,15 @@ from acutesphere.realization import (POSITION_TOL, VIEWPOINT_TOL, CombinatorialR
                                      project_euclidean, realize_sphere, verify_acute,
                                      verify_coinciding_perpendiculars)
 from acutesphere.spherical import perpendicular_foot, spherical_distance
-from acutesphere.triangulation import (AbstractTriangulation, EdgeLabeling, double,
-                                       ideal_allright_conditions, is_flag_no_separating_square,
-                                       is_flag_no_square, maehara_cap)
+from acutesphere.triangulation import (AbstractTriangulation, EdgeLabeling, acute_obstruction,
+                                       double, ideal_allright_conditions,
+                                       is_flag_no_separating_square, is_flag_no_square,
+                                       maehara_cap)
 
 from conftest import (corner_angle, euclidean_corner_angles, euclidean_orthogonality_residual,
                       euclidean_perpendicular_ratio_deviation, lobell, reference_euclidean_circle,
                       reference_layout, reference_moebius_normalize, reference_smoothed_max_angle,
-                      reference_transport_pattern, stereographic)
+                      reference_transport_pattern, star_punctures, stereographic)
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +140,32 @@ def test_planar_square_disk_a_acute_on_sphere(load):
             assert ang == pytest.approx(math.pi / 2, abs=1e-7)
         else:
             assert ang < math.pi / 2
+
+
+def test_star_punctures_refuse_with_a_witness_or_realize(load):
+    # 418 planar inputs: four spheres minus the stars of one vertex or of two
+    # non-adjacent ones.  Every refusal names a witness cycle or a low-degree
+    # vertex, and every accepted input realizes
+    accepted = refused = 0
+    for name in ("icosahedron", "octahedron", "square_disk_a_double", "square_disk_b_double"):
+        for hole in star_punctures(load(name)):
+            obstruction = acute_obstruction(hole)
+            if obstruction is None:
+                assert realize_sphere(hole).margin > 0, (name, hole)
+                accepted += 1
+            else:
+                reason, witness = obstruction
+                assert witness is not None or "degree" in reason, (name, hole, reason)
+                refused += 1
+    assert (accepted, refused) == (150, 268)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_library_tol_must_be_finite_and_not_negative(load, tol):
+    ico = load("icosahedron")
+    for solve in (solve_pattern, realize_sphere, alpha_estimate):
+        with pytest.raises(ValidationError, match="tol"):
+            solve(ico, tol=tol)
 
 
 def test_planar_square_disk_a_refuses_euclidean(load):
